@@ -14,7 +14,7 @@
 //! cargo run --release -p tn-bench --bin bench_lab [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs one rep instead of three, for CI.
+//! `--smoke` runs one rep instead of three, for CI, and writes no file.
 
 use std::time::Instant;
 use tn_bench::row;
@@ -106,6 +106,10 @@ fn main() {
         serial_ns = serial.wall_ns,
         parallel_ns = parallel.wall_ns,
     );
+    if smoke {
+        println!("smoke mode: skipping BENCH_lab.json (numbers not representative)");
+        return;
+    }
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lab.json");
     std::fs::write(out, &json).expect("write BENCH_lab.json");
     println!("wrote {out}");

@@ -1,7 +1,6 @@
 //! The event loop: queue, dispatch, link lookup, statistics.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -9,10 +8,10 @@ use rand::{Rng, SeedableRng};
 use tn_obs::{FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler};
 
 use crate::context::{Action, Context, TimerToken};
-use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId, FrameMeta};
+use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
-use crate::sched::{EventKind, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
+use crate::sched::{EventKind, FrameSlab, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
 use crate::shard::{WEntry, WindowState};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -36,9 +35,27 @@ impl<T: Node + 'static> AnyNode for T {
     }
 }
 
+/// Port-table entry of an out-port with no link.
+const UNCONNECTED: u32 = u32::MAX;
+
 pub(crate) struct NodeSlot {
     pub(crate) node: Box<dyn AnyNode>,
     pub(crate) name: String,
+    /// Out-port -> link index, [`UNCONNECTED`] for ports without a link.
+    /// Lives with the node, so a shard owns exactly the routes of the
+    /// nodes it owns.
+    pub(crate) ports: Vec<u32>,
+}
+
+impl NodeSlot {
+    /// Link index behind `port`, if connected.
+    #[inline]
+    fn route(&self, port: PortId) -> Option<usize> {
+        match self.ports.get(usize::from(port.0)) {
+            Some(&link) if link != UNCONNECTED => Some(link as usize),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) struct LinkSlot {
@@ -78,7 +95,8 @@ pub struct Simulator {
     pub(crate) nodes: Vec<Option<NodeSlot>>,
     /// Link slots, sparse exactly like `nodes` in a shard.
     pub(crate) links: Vec<Option<LinkSlot>>,
-    pub(crate) port_map: BTreeMap<(NodeId, PortId), usize>,
+    /// Frames of pending [`EventKind::Frame`] events.
+    pub(crate) frames: FrameSlab,
     pub(crate) rng: SmallRng,
     pub(crate) next_frame_id: u64,
     pub(crate) scratch: Vec<Action>,
@@ -120,7 +138,7 @@ impl Simulator {
             sched_kind: kind,
             nodes: Vec::new(),
             links: Vec::new(),
-            port_map: BTreeMap::new(),
+            frames: FrameSlab::default(),
             rng: SmallRng::seed_from_u64(seed),
             next_frame_id: 0,
             scratch: Vec::new(),
@@ -265,6 +283,7 @@ impl Simulator {
         self.nodes.push(Some(NodeSlot {
             node: Box::new(node),
             name: name.into(),
+            ports: Vec::new(),
         }));
         if self.metrics.is_enabled() {
             if let Some(slot) = self.nodes[id.0 as usize].as_mut() {
@@ -311,35 +330,6 @@ impl Simulator {
             .downcast_mut::<T>()
     }
 
-    /// Connect two ports bidirectionally with clones of `link`.
-    #[deprecated(note = "use tn-fault's `connect_spec` (LinkSpec-based); \
-                         `install_link` remains for already-built link models")]
-    pub fn connect(
-        &mut self,
-        a: NodeId,
-        a_port: PortId,
-        b: NodeId,
-        b_port: PortId,
-        link: impl Link + Clone + 'static,
-    ) {
-        self.install_link(a, a_port, b, b_port, Box::new(link.clone()));
-        self.install_link(b, b_port, a, a_port, Box::new(link));
-    }
-
-    /// Install a directional link from `(src, src_port)` to `(dst, dst_port)`.
-    #[deprecated(note = "use tn-fault's `connect_directed_spec` (LinkSpec-based); \
-                         `install_link` remains for already-built link models")]
-    pub fn connect_directed(
-        &mut self,
-        src: NodeId,
-        src_port: PortId,
-        dst: NodeId,
-        dst_port: PortId,
-        link: Box<dyn Link>,
-    ) {
-        self.install_link(src, src_port, dst, dst_port, link);
-    }
-
     /// Install a directional, already-built link model from
     /// `(src, src_port)` to `(dst, dst_port)` — the raw primitive behind
     /// `connect_directed_spec`. Most call sites should describe the link
@@ -367,16 +357,38 @@ impl Simulator {
                 slot.link.on_attach_metrics(&self.metrics);
             }
         }
-        let prev = self.port_map.insert((src, src_port), idx);
+        let Some(slot) = self.nodes.get_mut(src.0 as usize).and_then(Option::as_mut) else {
+            panic!("install_link from unknown node {src:?}");
+        };
+        let p = usize::from(src_port.0);
+        if slot.ports.len() <= p {
+            slot.ports.resize(p + 1, UNCONNECTED);
+        }
         assert!(
-            prev.is_none(),
+            slot.ports[p] == UNCONNECTED,
             "port ({src:?}, {src_port:?}) already connected; ports are point-to-point"
         );
+        slot.ports[p] = idx as u32;
     }
 
     /// True if the port has an outgoing link.
     pub fn is_connected(&self, node: NodeId, port: PortId) -> bool {
-        self.port_map.contains_key(&(node, port))
+        self.nodes
+            .get(node.0 as usize)
+            .and_then(Option::as_ref)
+            .is_some_and(|slot| slot.route(port).is_some())
+    }
+
+    /// Every `(source node, link index)` route, in `(node, port)` order.
+    pub(crate) fn routes(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.nodes.iter().enumerate().flat_map(|(i, slot)| {
+            slot.iter().flat_map(move |slot| {
+                slot.ports
+                    .iter()
+                    .filter(|&&link| link != UNCONNECTED)
+                    .map(move |&link| (NodeId(i as u32), link as usize))
+            })
+        })
     }
 
     /// Start building a new frame born at the current time: the unified
@@ -401,34 +413,6 @@ impl Simulator {
             });
         }
         FrameBuilder::start(&mut self.arena, &mut self.next_frame_id, self.now)
-    }
-
-    /// Allocate a frame with a fresh id, born at the current time. For
-    /// scenario drivers; nodes use [`Context::frame`].
-    #[deprecated(note = "use `sim.frame()` (arena-first builder): \
-                         `sim.frame().fill(|b| ...).build()`")]
-    pub fn new_frame(&mut self, bytes: Vec<u8>) -> Frame {
-        let id = FrameId(self.next_frame_id);
-        self.next_frame_id += 1;
-        Frame {
-            bytes,
-            id,
-            born: self.now,
-            meta: FrameMeta::default(),
-        }
-    }
-
-    /// Allocate a frame of `len` zero bytes from the [`FrameArena`].
-    #[deprecated(note = "use `sim.frame().zeroed(len)` (arena-first builder)")]
-    pub fn new_frame_zeroed(&mut self, len: usize) -> Frame {
-        self.frame().zeroed(len).build()
-    }
-
-    /// Allocate a frame carrying a copy of `bytes`, drawing the buffer
-    /// from the [`FrameArena`].
-    #[deprecated(note = "use `sim.frame().copy_from(bytes)` (arena-first builder)")]
-    pub fn new_frame_copied(&mut self, bytes: &[u8]) -> Frame {
-        self.frame().copy_from(bytes).build()
     }
 
     /// Return a finished frame's payload buffer to the [`FrameArena`] for
@@ -458,11 +442,7 @@ impl Simulator {
     pub fn inject_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.bump_seq();
-        self.push_event(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Frame { node, port, frame },
-        });
+        self.push_frame(at, seq, node, port, frame);
     }
 
     /// Schedule a timer callback on `node` at absolute time `at`.
@@ -480,6 +460,17 @@ impl Simulator {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Park `frame` in the slab and queue its delivery to `(node, port)`.
+    #[inline]
+    fn push_frame(&mut self, at: SimTime, seq: u64, node: NodeId, port: PortId, frame: Frame) {
+        let slot = self.frames.park(frame);
+        self.push_event(QueuedEvent {
+            at,
+            seq,
+            kind: EventKind::Frame { node, port, slot },
+        });
     }
 
     /// Single funnel for every scheduler insertion. The profiler and
@@ -549,36 +540,44 @@ impl Simulator {
         // wheel cascades and the calendar may rebuild; catch up on the
         // counter deltas before dispatching.
         self.note_sched_activity();
-        if let Some(w) = self.wlog.as_mut() {
-            // Window mode: open this dispatch's reconciliation block. The
-            // popped seq is the block's tag — the merge leader orders
-            // blocks across shards by `(at, translated tag)`, which is
-            // exactly the serial kernel's pop order.
-            let entry = match &ev.kind {
-                EventKind::Frame { node, port, frame } => WEntry::Dispatch {
-                    at: ev.at,
-                    tag: ev.seq,
-                    node: *node,
-                    port: *port,
-                    frame: frame.id.0,
-                    timer: false,
-                },
-                EventKind::Timer { node, .. } => WEntry::Dispatch {
-                    at: ev.at,
-                    tag: ev.seq,
-                    node: *node,
-                    port: PortId(u16::MAX),
-                    frame: u64::MAX,
-                    timer: true,
-                },
-            };
-            w.entries.push(entry);
-        }
         match ev.kind {
-            EventKind::Frame { node, port, frame } => self.dispatch_frame(node, port, frame),
-            EventKind::Timer { node, token } => self.dispatch_timer(node, token),
+            EventKind::Frame { node, port, slot } => {
+                let frame = self.frames.unpark(slot);
+                self.log_dispatch(ev.at, ev.seq, node, port, frame.id.0, false);
+                self.dispatch_frame(node, port, frame);
+            }
+            EventKind::Timer { node, token } => {
+                self.log_dispatch(ev.at, ev.seq, node, PortId(u16::MAX), u64::MAX, true);
+                self.dispatch_timer(node, token);
+            }
         }
         true
+    }
+
+    /// Window mode: open this dispatch's reconciliation block. The popped
+    /// seq is the block's tag — the merge leader orders blocks across
+    /// shards by `(at, translated tag)`, which is exactly the serial
+    /// kernel's pop order. Timers pass the trace's timer sentinels.
+    #[inline]
+    fn log_dispatch(
+        &mut self,
+        at: SimTime,
+        tag: u64,
+        node: NodeId,
+        port: PortId,
+        frame: u64,
+        timer: bool,
+    ) {
+        if let Some(w) = self.wlog.as_mut() {
+            w.entries.push(WEntry::Dispatch {
+                at,
+                tag,
+                node,
+                port,
+                frame,
+                timer,
+            });
+        }
     }
 
     /// Time of the next pending event, if any. Shard coordination probes
@@ -614,11 +613,7 @@ impl Simulator {
         frame: Frame,
     ) {
         debug_assert!(at >= self.now, "cross-shard delivery into the past");
-        self.push_event(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Frame { node, port, frame },
-        });
+        self.push_frame(at, seq, node, port, frame);
     }
 
     /// Run until the event queue is empty.
@@ -791,15 +786,7 @@ impl Simulator {
                         }
                     } else {
                         let seq = self.bump_seq();
-                        self.push_event(QueuedEvent {
-                            at,
-                            seq,
-                            kind: EventKind::Frame {
-                                node: dst,
-                                port,
-                                frame,
-                            },
-                        });
+                        self.push_frame(at, seq, dst, port, frame);
                         if let Some(w) = self.wlog.as_mut() {
                             w.entries.push(WEntry::LocalPush);
                         }
@@ -852,7 +839,10 @@ impl Simulator {
     }
 
     fn transmit(&mut self, src: NodeId, port: PortId, mut frame: Frame) {
-        let Some(&idx) = self.port_map.get(&(src, port)) else {
+        let route = self.nodes[src.0 as usize]
+            .as_ref()
+            .and_then(|slot| slot.route(port));
+        let Some(idx) = route else {
             self.stats.frames_unrouted += 1;
             self.metrics.inc("kernel", "unrouted", Some(src.0));
             if self.wlog.is_none() {
@@ -889,7 +879,7 @@ impl Simulator {
         };
         let coin = self.rng.gen::<f64>();
         let Some(slot) = self.links[idx].as_mut() else {
-            unreachable!("port_map routed to a link outside this shard")
+            unreachable!("port table routed to a link outside this shard")
         };
         match slot.link.transmit(self.now, frame.len(), coin) {
             LinkOutcome::Deliver(at) => {
@@ -913,15 +903,7 @@ impl Simulator {
                     }
                 } else {
                     let seq = self.bump_seq();
-                    self.push_event(QueuedEvent {
-                        at,
-                        seq,
-                        kind: EventKind::Frame {
-                            node: dst,
-                            port: dst_port,
-                            frame,
-                        },
-                    });
+                    self.push_frame(at, seq, dst, dst_port, frame);
                     if let Some(w) = self.wlog.as_mut() {
                         w.entries.push(WEntry::LocalPush);
                     }
@@ -1351,6 +1333,35 @@ mod tests {
         sim.install_link(a, PortId(0), b, PortId(0), Box::new(link.clone()));
         sim.install_link(b, PortId(0), a, PortId(0), Box::new(link));
         a
+    }
+
+    #[test]
+    fn frame_slab_stays_bounded_and_reuses_slots() {
+        // Memory stays bounded: however long a steady ping-pong runs, the
+        // slab holds no more slots than the peak number of pending frame
+        // events, because each dispatch frees its slot before the
+        // handler's send parks the frame again.
+        let mut sim = Simulator::new(7);
+        let a = bouncing_pair(&mut sim);
+        for i in 0..4 {
+            let f = sim.frame().zeroed(64).build();
+            sim.inject_frame(SimTime::from_ns(3 * i), a, PortId(0), f);
+        }
+        let mut peak = sim.pending_events();
+        while sim.now() < SimTime::from_us(50) && sim.step() {
+            peak = peak.max(sim.pending_events());
+        }
+        assert_eq!(peak, 4, "four frames in flight, no timers");
+        assert!(
+            sim.frames.len() <= peak,
+            "slab grew to {} slots for {peak} pending frames",
+            sim.frames.len()
+        );
+        assert!(
+            sim.stats().frames_delivered > 1_000,
+            "a few slots must have carried every delivery: {:?}",
+            sim.stats()
+        );
     }
 
     #[test]

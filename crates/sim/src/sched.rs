@@ -7,6 +7,13 @@
 //! pushes, which `tests/scheduler_equivalence.rs` and the tn-audit
 //! divergence corpus pin bit-for-bit via trace digests.
 //!
+//! A queued event is a 32-byte key, not a frame: [`EventKind::Frame`]
+//! carries a `slot` into the kernel-owned [`FrameSlab`], where the
+//! 64-byte [`Frame`] stays parked from push to dispatch. Every scheduler
+//! below therefore sifts, buckets and cascades 32-byte entries, timers
+//! and frames alike; a compile-time assert keeps
+//! `size_of::<QueuedEvent>() <= 32`.
+//!
 //! Three implementations ship:
 //!
 //! * [`BinaryHeapScheduler`] — the reference `O(log n)` min-heap. Default.
@@ -30,11 +37,12 @@ use crate::time::SimTime;
 
 /// What a queued event does when it fires.
 pub(crate) enum EventKind {
-    /// Deliver `frame` to `(node, port)`.
+    /// Deliver the frame parked at `slot` of the kernel's [`FrameSlab`]
+    /// to `(node, port)`.
     Frame {
         node: NodeId,
         port: PortId,
-        frame: Frame,
+        slot: u32,
     },
     /// Fire `token` on `node`.
     Timer { node: NodeId, token: TimerToken },
@@ -49,6 +57,53 @@ pub struct QueuedEvent {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
     pub(crate) kind: EventKind,
+}
+
+// Heap sifts, bucket inserts and wheel cascades move whole entries; the
+// frame itself stays in the slab.
+const _: () = assert!(std::mem::size_of::<QueuedEvent>() <= 32);
+
+/// Frames whose delivery event is pending, indexed by the `slot` of
+/// their [`EventKind::Frame`]. A frame is parked when its event is pushed
+/// and unparked when it is popped; freed slots are reused LIFO, so the
+/// slab never grows past the peak number of pending frame events.
+#[derive(Default)]
+pub(crate) struct FrameSlab {
+    slots: Vec<Option<Frame>>,
+    free: Vec<u32>,
+}
+
+impl FrameSlab {
+    /// Park `frame` and return its slot.
+    #[inline]
+    pub(crate) fn park(&mut self, frame: Frame) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(frame);
+                slot
+            }
+            None => {
+                self.slots.push(Some(frame));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the frame parked at `slot` and free the slot.
+    #[inline]
+    pub(crate) fn unpark(&mut self, slot: u32) -> Frame {
+        let Some(frame) = self.slots[slot as usize].take() else {
+            unreachable!("frame event points at an empty slab slot")
+        };
+        self.free.push(slot);
+        frame
+    }
+
+    /// Number of slots, occupied or free.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 impl QueuedEvent {

@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use crate::frame::{Frame, FrameId};
 use crate::kernel::{SimStats, Simulator};
 use crate::node::{NodeId, PortId};
-use crate::sched::SchedulerKind;
+use crate::sched::{EventKind, SchedulerKind};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
 use tn_obs::{FlightRecorder, KernelProfiler};
@@ -175,7 +175,7 @@ impl ShardPlan {
         // Undirected pairwise constraints: minimum cut delay per pair,
         // and whether the pair can be cut at all.
         let mut pair_delay: BTreeMap<(u32, u32), (SimTime, bool)> = BTreeMap::new();
-        for (&(src, _port), &idx) in &sim.port_map {
+        for (src, idx) in sim.routes() {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -281,7 +281,7 @@ impl ShardPlan {
                 )));
             }
         }
-        for (&(src, _port), &idx) in &sim.port_map {
+        for (src, idx) in sim.routes() {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -369,9 +369,13 @@ impl ShardedSimulator {
         let n_nodes = sim.nodes.len();
         let n_links = sim.links.len();
 
+        // Routes live in the node slots, so collect them before the
+        // slots move out to their shards.
+        let routes: Vec<(NodeId, usize)> = sim.routes().collect();
+
         // Cross-shard lookahead per source shard.
         let mut out_look: Vec<Option<SimTime>> = vec![None; k];
-        for (&(src, _port), &idx) in &sim.port_map {
+        for &(src, idx) in &routes {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -421,22 +425,25 @@ impl ShardedSimulator {
             })
             .collect();
 
-        // Distribute nodes; links and their port-map entries follow the
+        // Distribute nodes, each with its port table; links follow the
         // *source* node (transmit runs on the source's shard).
         for (i, slot) in sim.nodes.iter_mut().enumerate() {
             let s = plan.assignment[i] as usize;
             shards[s].nodes[i] = slot.take();
         }
-        for (&(src, port), &idx) in &sim.port_map {
+        for (src, idx) in routes {
             let s = plan.assignment[src.0 as usize] as usize;
             shards[s].links[idx] = sim.links[idx].take();
-            shards[s].port_map.insert((src, port), idx);
         }
         // Pending events (pre-split injections carry real seqs) go to the
-        // target node's shard. Direct queue pushes: their Schedule
-        // telemetry was already recorded by the parent at injection.
-        while let Some(ev) = sim.queue.pop() {
+        // target node's shard, their frames to that shard's slab. Direct
+        // queue pushes: their Schedule telemetry was already recorded by
+        // the parent at injection.
+        while let Some(mut ev) = sim.queue.pop() {
             let s = plan.assignment[ev.target_node().0 as usize] as usize;
+            if let EventKind::Frame { slot, .. } = &mut ev.kind {
+                *slot = shards[s].frames.park(sim.frames.unpark(*slot));
+            }
             shards[s].queue.push(ev);
         }
         // The parent's arena seeds shard 0; reassembly absorbs them all.
@@ -762,13 +769,15 @@ impl ShardedSimulator {
                     sim.links[i] = Some(slot);
                 }
             }
-            sim.port_map.append(&mut sh.port_map);
             // Residual events (beyond the deadline) rejoin the unified
-            // queue with their ids translated to serial order.
+            // queue, their frames the unified slab, with their ids
+            // translated to serial order.
             while let Some(mut ev) = sh.queue.pop() {
                 ev.seq = Self::translate(&self.seq_map[s], ev.seq);
-                if let crate::sched::EventKind::Frame { frame, .. } = &mut ev.kind {
+                if let EventKind::Frame { slot, .. } = &mut ev.kind {
+                    let mut frame = sh.frames.unpark(*slot);
                     frame.id = FrameId(Self::translate(&self.frame_map[s], frame.id.0));
+                    *slot = sim.frames.park(frame);
                 }
                 sim.queue.push(ev);
             }
@@ -1123,6 +1132,89 @@ mod tests {
             "profiler must account for every dispatch"
         );
         assert_eq!((merged.trace.digest(), merged.trace.recorded()), want);
+    }
+
+    /// Bounces each frame back out its arrival port until its hop
+    /// budget (the frame tag) runs out; on every timer tick sprays a new
+    /// frame, alternating ports.
+    struct Relay {
+        ticks_left: u32,
+    }
+
+    /// Hops each frame makes before it is recycled.
+    const HOPS: u64 = 25;
+
+    impl Node for Relay {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, mut frame: Frame) {
+            if frame.meta.tag > 0 {
+                frame.meta.tag -= 1;
+                ctx.send(port, frame);
+            } else {
+                ctx.recycle(frame);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            if self.ticks_left > 0 {
+                self.ticks_left -= 1;
+                let f = ctx.frame().zeroed(64).tag(HOPS).build();
+                ctx.send(PortId(self.ticks_left as u16 % 2), f);
+                ctx.set_timer(SimTime::from_ns(90), timer);
+            }
+        }
+    }
+
+    /// Four relays in a line (short, long, short links) with frames
+    /// already queued, so the split finds them in the parent's slab.
+    fn build_relays(kind: SchedulerKind) -> Simulator {
+        let mut sim = Simulator::with_scheduler(5, kind);
+        sim.trace.set_enabled(true);
+        let ids: Vec<NodeId> = (0..4)
+            .map(|i| sim.add_node(format!("r{i}"), Relay { ticks_left: 60 }))
+            .collect();
+        for (a, port, ns) in [(0, 0, 5), (1, 1, 400), (2, 0, 5)] {
+            let link = IdealLink::new(SimTime::from_ns(ns));
+            let (x, y, p) = (ids[a], ids[a + 1], PortId(port));
+            sim.install_link(x, p, y, p, Box::new(link.clone()));
+            sim.install_link(y, p, x, p, Box::new(link));
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            let f = sim.frame().zeroed(64).tag(HOPS).build();
+            sim.inject_frame(SimTime::from_ns(7 * i as u64), id, PortId(i as u16 % 2), f);
+        }
+        sim.schedule_timer(SimTime::from_ns(1), ids[1], TimerToken(0));
+        sim.schedule_timer(SimTime::from_ns(2), ids[2], TimerToken(0));
+        sim
+    }
+
+    #[test]
+    fn frames_pending_at_split_and_reassembly_keep_serial_ids() {
+        // Frames sit in the parent's slab at split and in the shards'
+        // slabs at the mid deadline. Both moves, and the id translation
+        // at reassembly, must leave every traced delivery (node, port,
+        // frame id, time) exactly serial, before and after reassembly.
+        let (mid, end) = (SimTime::from_ns(2_500), SimTime::from_us(20));
+        for kind in SchedulerKind::ALL {
+            let mut serial = build_relays(kind);
+            serial.run_until(mid);
+            serial.run_until(end);
+            for assignment in [vec![0, 0, 1, 1], vec![0, 1, 0, 1]] {
+                let plan = ShardPlan::manual(assignment.clone());
+                let mut sharded =
+                    ShardedSimulator::split(build_relays(kind), &plan).expect("valid");
+                sharded.run_until(mid);
+                let mut merged = sharded.finish();
+                // At most one pending timer per ticking relay: the rest
+                // are frame events.
+                assert!(
+                    merged.pending_events() > 2,
+                    "frames must still be in flight at reassembly"
+                );
+                merged.run_until(end);
+                let what = format!("kind={} plan={assignment:?}", kind.name());
+                assert_eq!(merged.trace.events(), serial.trace.events(), "{what}");
+                assert_eq!(merged.trace.digest(), serial.trace.digest(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -147,9 +147,19 @@ cargo run --release --offline -q -p tn-lab -- run --preset smoke --threads 2 \
 head -1 "$lab_out" | grep -q '"schema":"tn-lab/v1"'
 rm -f "$lab_out"
 # BENCH lab smoke: serial-vs-parallel wall clock with byte-identity
-# asserted inside the harness.
+# asserted inside the harness; smoke never writes BENCH_lab.json, so the
+# committed 3-rep numbers stay untouched.
 run cargo run --release --offline -q -p tn-bench --bin bench_lab -- --smoke
 head -1 BENCH_lab.json | grep -q '"schema":"tn-bench/v1"'
 echo "==> BENCH_lab.json: tn-bench/v1 ok"
+
+# perfbench correctness smoke: each workload briefly on the held-out
+# seed. run.py exits non-zero when a run misses a value pinned in
+# perfbench/pins.json (digest, event count, set-up digest), panics or
+# times out. Then the benchmark's own script tests.
+for workload in d1-leafspine d3-l1-fanout metro-swarm; do
+    run python3 perfbench/run.py --workload "$workload" --seed 2 --seconds 1 --trace 0
+done
+run python3 perfbench/test_run.py
 
 echo "==> ci: all green"
