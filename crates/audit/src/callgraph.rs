@@ -3,10 +3,9 @@
 //! Two properties are computed for every function the item parser found:
 //!
 //! * **hot** — reachable from a registered kernel dispatch entry point
-//!   ([`HOT_ROOTS`]): `Node::on_frame`/`on_timer` handlers, `Scheduler`
-//!   queue operations, `Link` timing methods, and `Simulator::step`
-//!   itself. Hot code runs once per simulated frame/event, so the
-//!   `hotpath-*` lints apply to it.
+//!   ([`HOT_ROOTS`]): `Node::on_frame`/`on_timer` handlers, `Link`
+//!   timing methods, and `Simulator::step` itself. Hot code runs once
+//!   per simulated frame/event, so the `hotpath-*` lints apply to it.
 //! * **det** — determinism-critical: hot code, plus any function from
 //!   which a schedule-feeding kernel API ([`DET_SINKS`]) is reachable,
 //!   plus everything reachable from those. If such code consults the
@@ -65,24 +64,6 @@ pub const HOT_ROOTS: &[RootSpec] = &[
         why: "timer dispatch handler",
     },
     RootSpec {
-        owner: "Scheduler",
-        method: "push",
-        kind: RootKind::Trait,
-        why: "event-queue insert, once per scheduled event",
-    },
-    RootSpec {
-        owner: "Scheduler",
-        method: "pop",
-        kind: RootKind::Trait,
-        why: "event-queue extract, once per dispatched event",
-    },
-    RootSpec {
-        owner: "Scheduler",
-        method: "next_at",
-        kind: RootKind::Trait,
-        why: "event-queue peek on the dispatch loop",
-    },
-    RootSpec {
         owner: "Link",
         method: "transmit",
         kind: RootKind::Trait,
@@ -116,7 +97,6 @@ pub const HOT_ROOTS: &[RootSpec] = &[
 /// can reach) must be deterministic.
 pub const DET_SINKS: &[(&str, &str)] = &[
     ("Simulator", "new"),
-    ("Simulator", "with_scheduler"),
     ("Simulator", "add_node"),
     ("Simulator", "inject_frame"),
     ("Simulator", "schedule_timer"),
@@ -648,7 +628,7 @@ mod tests {
              impl Queue {\n  fn push(&mut self, x: u32) {}\n  fn get(&self, i: usize) {}\n}\n",
         ];
         let t = taints(srcs);
-        // Queue::push matches no Scheduler trait; `.push(` is COMMON.
+        // `.push(` and `.get(` are COMMON: no edge to Queue's methods.
         assert!(named(&t, srcs, "get").hot.is_none());
     }
 
@@ -663,13 +643,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_impls_are_hot_without_name_heuristics() {
+    fn link_impls_are_hot_without_name_heuristics() {
         let srcs = &[
-            "impl Scheduler for CalendarQueue {\n  fn pop(&mut self) -> u32 { self.rotate() }\n}\n\
-             impl CalendarQueue {\n  fn rotate(&mut self) -> u32 { 0 }\n}\n",
+            "impl Link for FiberLink {\n  fn transmit(&mut self) -> u32 { self.serialize() }\n}\n\
+             impl FiberLink {\n  fn serialize(&mut self) -> u32 { 0 }\n}\n",
         ];
         let t = taints(srcs);
-        assert!(named(&t, srcs, "rotate").hot.is_some());
+        assert!(named(&t, srcs, "serialize").hot.is_some());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use tn_core::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, ScenarioConfig, ShardSpec, TradingNetworkDesign,
     TraditionalSwitches,
 };
-use tn_sim::{SchedulerKind, SimTime, Simulator, EMPTY_DIGEST};
+use tn_sim::{SimTime, Simulator, EMPTY_DIGEST};
 
 /// What one scenario run distills to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,31 +31,25 @@ pub struct RunSignature {
 pub struct Scenario {
     /// Stable name (mirrors the example it covers).
     pub name: &'static str,
-    /// Execute one run under the given event scheduler and return its
-    /// signature. Scenarios with no kernel (feed-handler) ignore the kind.
-    pub run: fn(SchedulerKind) -> RunSignature,
+    /// Execute one run and return its signature.
+    pub run: fn() -> RunSignature,
 }
 
-/// Result of checking one scenario: two reference-scheduler runs (the
-/// classic dual-run determinism check) plus one calendar-queue run (the
-/// scheduler-equivalence check).
+/// Result of checking one scenario: two runs with the same seed.
 #[derive(Debug, Clone)]
 pub struct DivergenceOutcome {
     /// Scenario name.
     pub name: &'static str,
-    /// First run (reference binary-heap scheduler).
+    /// First run.
     pub first: RunSignature,
-    /// Second run (reference binary-heap scheduler).
+    /// Second run.
     pub second: RunSignature,
-    /// Calendar-queue run; must equal the reference runs bit-for-bit.
-    pub calendar: RunSignature,
 }
 
 impl DivergenceOutcome {
-    /// Did the dual runs agree with each other *and* with the
-    /// calendar-queue run?
+    /// Did the dual runs agree?
     pub fn passed(&self) -> bool {
-        self.first == self.second && self.first == self.calendar
+        self.first == self.second
     }
 }
 
@@ -68,19 +62,19 @@ pub fn registry() -> Vec<Scenario> {
         },
         Scenario {
             name: "shootout-traditional",
-            run: |k| run_design(&TraditionalSwitches::default(), 7, k),
+            run: || run_design(&TraditionalSwitches::default(), 7),
         },
         Scenario {
             name: "shootout-cloud",
-            run: |k| run_design(&CloudDesign::default(), 7, k),
+            run: || run_design(&CloudDesign::default(), 7),
         },
         Scenario {
             name: "shootout-l1",
-            run: |k| run_design(&LayerOneSwitches::default(), 7, k),
+            run: || run_design(&LayerOneSwitches::default(), 7),
         },
         Scenario {
             name: "shootout-fpga",
-            run: |k| run_design(&FpgaHybrid::default(), 7, k),
+            run: || run_design(&FpgaHybrid::default(), 7),
         },
         Scenario {
             name: "feed-handler",
@@ -92,11 +86,11 @@ pub fn registry() -> Vec<Scenario> {
         },
         Scenario {
             name: "metro-arbitrage-fiber",
-            run: |k| run_metro(tn_topo::metro::CircuitKind::Fiber, k),
+            run: || run_metro(tn_topo::metro::CircuitKind::Fiber),
         },
         Scenario {
             name: "metro-arbitrage-microwave",
-            run: |k| run_metro(tn_topo::metro::CircuitKind::Microwave, k),
+            run: || run_metro(tn_topo::metro::CircuitKind::Microwave),
         },
         Scenario {
             name: "fault-loss-recovery",
@@ -153,18 +147,16 @@ pub fn registry() -> Vec<Scenario> {
     ]
 }
 
-/// Run each scenario (optionally filtered by substring) twice under the
-/// reference scheduler and once under the calendar queue, and collect the
-/// outcomes.
+/// Run each scenario (optionally filtered by substring) twice and collect
+/// the outcomes.
 pub fn run_all(filter: Option<&str>) -> Vec<DivergenceOutcome> {
     registry()
         .iter()
         .filter(|s| filter.is_none_or(|f| s.name.contains(f)))
         .map(|s| DivergenceOutcome {
             name: s.name,
-            first: (s.run)(SchedulerKind::BinaryHeap),
-            second: (s.run)(SchedulerKind::BinaryHeap),
-            calendar: (s.run)(SchedulerKind::CalendarQueue),
+            first: (s.run)(),
+            second: (s.run)(),
         })
         .collect()
 }
@@ -177,15 +169,13 @@ fn trimmed(mut sc: ScenarioConfig) -> ScenarioConfig {
     sc
 }
 
-fn run_quickstart(kind: SchedulerKind) -> RunSignature {
+fn run_quickstart() -> RunSignature {
     // Mirrors `examples/quickstart.rs`: TraditionalSwitches, seed 42.
-    run_design(&TraditionalSwitches::default(), 42, kind)
+    run_design(&TraditionalSwitches::default(), 42)
 }
 
-fn run_design(design: &dyn TradingNetworkDesign, seed: u64, kind: SchedulerKind) -> RunSignature {
-    let mut sc = trimmed(ScenarioConfig::small(seed));
-    sc.scheduler = kind;
-    let report = design.run(&sc);
+fn run_design(design: &dyn TradingNetworkDesign, seed: u64) -> RunSignature {
+    let report = design.run(&trimmed(ScenarioConfig::small(seed)));
     RunSignature {
         digest: report.trace_digest,
         events: report.events_recorded,
@@ -202,10 +192,7 @@ fn sim_signature(sim: &Simulator) -> RunSignature {
 /// Mirrors `examples/feed_handler.rs`: matching engine → publisher →
 /// A/B-arbitrating normalizer, no network. The signature hashes every
 /// published packet and every normalized record count.
-fn run_feed_handler(kind: SchedulerKind) -> RunSignature {
-    // No kernel here — the scenario hashes publisher bytes directly, so
-    // the scheduler cannot matter; accept the kind for registry symmetry.
-    let _ = kind;
+fn run_feed_handler() -> RunSignature {
     use tn_feed::normalize::{HashRepartition, NormalizerCore};
     use tn_market::{
         FeedPublisher, FlowMix, MatchingEngine, OrderFlowGenerator, PartitionScheme,
@@ -266,7 +253,7 @@ fn run_feed_handler(kind: SchedulerKind) -> RunSignature {
 
 /// Mirrors `examples/mcast_cliff.rs`: 96 IGMP joins against a 64-entry
 /// mroute table, then one packet per group; seed 3.
-fn run_mcast_cliff(kind: SchedulerKind) -> RunSignature {
+fn run_mcast_cliff() -> RunSignature {
     use tn_netdev::EtherLink;
     use tn_sim::{Context, Frame, Node, PortId};
     use tn_switch::{commodity, CommoditySwitch, SwitchConfig};
@@ -283,7 +270,7 @@ fn run_mcast_cliff(kind: SchedulerKind) -> RunSignature {
         sw_queue: 16,
         ..SwitchConfig::default()
     };
-    let mut sim = Simulator::with_scheduler(3, kind);
+    let mut sim = Simulator::new(3);
     let sw = sim.add_node("switch", CommoditySwitch::new(cfg));
     let rx = sim.add_node("rx", Receiver);
     // EtherLink has no LinkSpec equivalent: install the built model
@@ -325,7 +312,7 @@ fn run_mcast_cliff(kind: SchedulerKind) -> RunSignature {
 /// Mirrors `examples/metro_arbitrage.rs`: two exchanges in two colos, the
 /// remote feed over a metro circuit, L1-muxed into a cross-market arb
 /// strategy; seed 11, trimmed to 12 ms.
-fn run_metro(kind: tn_topo::metro::CircuitKind, sched: SchedulerKind) -> RunSignature {
+fn run_metro(kind: tn_topo::metro::CircuitKind) -> RunSignature {
     use tn_market::{Exchange, ExchangeConfig, PartitionScheme, SymbolDirectory};
     use tn_netdev::EtherLink;
     use tn_sim::PortId;
@@ -341,7 +328,7 @@ fn run_metro(kind: tn_topo::metro::CircuitKind, sched: SchedulerKind) -> RunSign
     let dir = SymbolDirectory::synthetic(30);
     let symbols: Vec<Symbol> = dir.instruments().iter().map(|i| i.symbol).collect();
     let partitions = 4u16;
-    let mut sim = Simulator::with_scheduler(11, sched);
+    let mut sim = Simulator::new(11);
 
     let mk_exchange = |sim: &mut Simulator, id: u8, mcast_base: u32| {
         let mut cfg = ExchangeConfig::new(id, dir.clone());
@@ -452,13 +439,12 @@ fn run_metro(kind: tn_topo::metro::CircuitKind, sched: SchedulerKind) -> RunSign
 /// Mirrors `exp_loss_recovery` (trimmed): lossy feed, gap requests,
 /// retransmission fills. The fault layer owns its own PRNG, so two runs
 /// must agree even though every drop decision is random-looking.
-fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
+fn run_fault_loss_recovery() -> RunSignature {
     use tn_bench::faultsim::{run_loss_recovery, LossRecoveryConfig};
     use tn_fault::FaultSpec;
 
     let mut cfg = LossRecoveryConfig::new(1, FaultSpec::new(11).with_iid_loss(0.01));
     cfg.packets = 800;
-    cfg.scheduler = kind;
     let run = run_loss_recovery(&cfg);
     RunSignature {
         digest: run.digest,
@@ -468,12 +454,11 @@ fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
 
 /// Mirrors `exp_ab_failover` (trimmed): A-side outage, arbitration keeps
 /// the stream whole out of B.
-fn run_fault_ab_failover(kind: SchedulerKind) -> RunSignature {
+fn run_fault_ab_failover() -> RunSignature {
     use tn_bench::faultsim::{run_ab_failover, AbFailoverConfig};
 
     let mut cfg = AbFailoverConfig::new(2);
     cfg.packets = 2_400; // 12 ms: through the outage start
-    cfg.scheduler = kind;
     let run = run_ab_failover(&cfg);
     RunSignature {
         digest: run.digest,
@@ -484,11 +469,10 @@ fn run_fault_ab_failover(kind: SchedulerKind) -> RunSignature {
 /// The quickstart scenario with a burst-degraded feed: the full design-1
 /// topology with FaultLink-wrapped publish links must still dual-run to
 /// identical digests.
-fn run_quickstart_degraded(kind: SchedulerKind) -> RunSignature {
+fn run_quickstart_degraded() -> RunSignature {
     use tn_fault::FaultSpec;
 
     let mut sc = trimmed(ScenarioConfig::small(42));
-    sc.scheduler = kind;
     sc.feed_fault = Some(FaultSpec::new(13).with_burst_loss(0.01, 0.3, 0.0, 0.9));
     let report = TraditionalSwitches::default().run(&sc);
     RunSignature {
@@ -503,11 +487,10 @@ fn run_quickstart_degraded(kind: SchedulerKind) -> RunSignature {
 /// K-way dispatch merge, and the provisional-id translation are pure
 /// plumbing around the same event order. Returns the serial signature
 /// (pinned against the golden quickstart digest in tests).
-fn run_shard_quickstart(kind: SchedulerKind) -> RunSignature {
-    let serial = run_quickstart(kind);
+fn run_shard_quickstart() -> RunSignature {
+    let serial = run_quickstart();
     for k in 1..=8u16 {
         let mut sc = trimmed(ScenarioConfig::small(42));
-        sc.scheduler = kind;
         sc.shards = ShardSpec::Auto(k);
         let report = TraditionalSwitches::default().run(&sc);
         let sharded = RunSignature {
@@ -526,13 +509,12 @@ fn run_shard_quickstart(kind: SchedulerKind) -> RunSignature {
 /// FaultLink owns its PRNG, so fault decisions are identical no matter
 /// which shard replays the link — the sharded run must reproduce the
 /// serial faulted stream for every shard count.
-fn run_shard_faulted(kind: SchedulerKind) -> RunSignature {
+fn run_shard_faulted() -> RunSignature {
     use tn_fault::FaultSpec;
 
-    let serial = run_quickstart_degraded(kind);
+    let serial = run_quickstart_degraded();
     for k in [2u16, 4, 8] {
         let mut sc = trimmed(ScenarioConfig::small(42));
-        sc.scheduler = kind;
         sc.feed_fault = Some(FaultSpec::new(13).with_burst_loss(0.01, 0.3, 0.0, 0.9));
         sc.shards = ShardSpec::Auto(k);
         let report = TraditionalSwitches::default().run(&sc);
@@ -553,10 +535,9 @@ fn run_shard_faulted(kind: SchedulerKind) -> RunSignature {
 /// metrics registry, and trace export are pure side-state, so the two
 /// event streams must be bit-for-bit identical. Returns the telemetry-on
 /// signature (pinned against the golden quickstart digest in tests).
-fn run_quickstart_obs_on_vs_off(kind: SchedulerKind) -> RunSignature {
-    let off = run_quickstart(kind);
+fn run_quickstart_obs_on_vs_off() -> RunSignature {
+    let off = run_quickstart();
     let mut sc = trimmed(ScenarioConfig::small(42));
-    sc.scheduler = kind;
     sc.obs = tn_sim::ObsConfig::full();
     let report = TraditionalSwitches::default().run(&sc);
     let on = RunSignature {
@@ -574,10 +555,9 @@ fn run_quickstart_obs_on_vs_off(kind: SchedulerKind) -> RunSignature {
 /// assert carries the flight dump — the recorder's own post-mortem of
 /// the diverged run. Returns the flight-on signature (pinned against
 /// the golden quickstart digest in tests).
-fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
-    let off = run_quickstart(kind);
+fn run_quickstart_flight_on_vs_off() -> RunSignature {
+    let off = run_quickstart();
     let mut sc = trimmed(ScenarioConfig::small(42));
-    sc.scheduler = kind;
     sc.obs.flight = true;
     sc.obs.flight_capacity = 512;
     sc.obs.profile = true;
@@ -602,11 +582,10 @@ fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
 /// Mirrors `exp_latency_decomposition` (E21): the shared decomposition
 /// chain with full telemetry — per-frame provenance through a tap and a
 /// store-and-forward relay.
-fn run_latency_decomposition(kind: SchedulerKind) -> RunSignature {
+fn run_latency_decomposition() -> RunSignature {
     use tn_bench::obssim::{run_decomposition, DecompositionConfig};
 
-    let mut cfg = DecompositionConfig::new(42);
-    cfg.scheduler = kind;
+    let cfg = DecompositionConfig::new(42);
     let run = run_decomposition(&cfg, tn_sim::ObsConfig::full());
     assert_eq!(
         run.max_residual_ps, 0,
@@ -624,10 +603,10 @@ fn run_latency_decomposition(kind: SchedulerKind) -> RunSignature {
 /// renders, and the grid's first cell — the trimmed quickstart — must
 /// carry the golden quickstart digest. The signature hashes the merged
 /// document with the kernel's own FNV-1a fold.
-fn run_lab_parallel_vs_serial(kind: SchedulerKind) -> RunSignature {
+fn run_lab_parallel_vs_serial() -> RunSignature {
     use tn_lab::{run_batch, LabReport, ScenarioExecutor, SweepSpec};
 
-    let exec = ScenarioExecutor { scheduler: kind };
+    let exec = ScenarioExecutor::new();
     let spec = SweepSpec::smoke();
     let manifest = spec.expand().expect("smoke spec expands");
     let serial = run_batch(&manifest, 1, &exec).expect("serial batch");
@@ -653,17 +632,17 @@ fn run_lab_parallel_vs_serial(kind: SchedulerKind) -> RunSignature {
 /// expand → batch → aggregate pipeline, compared against a bare
 /// `TraditionalSwitches::run` on a hand-built config. Pinned to the
 /// golden quickstart digest.
-fn run_lab_run_vs_standalone(kind: SchedulerKind) -> RunSignature {
+fn run_lab_run_vs_standalone() -> RunSignature {
     use tn_lab::{run_batch, ScenarioExecutor, SweepSpec};
 
     let mut spec = SweepSpec::smoke();
     spec.axes.clear(); // overrides only: exactly the trimmed quickstart
     let manifest = spec.expand().expect("single-cell spec expands");
     assert_eq!(manifest.len(), 1);
-    let exec = ScenarioExecutor { scheduler: kind };
+    let exec = ScenarioExecutor::new();
     let lab = &run_batch(&manifest, 1, &exec).expect("cell runs")[0];
 
-    let standalone = run_quickstart(kind);
+    let standalone = run_quickstart();
     assert_eq!(
         (lab.digest, lab.events),
         (standalone.digest, standalone.events),
@@ -680,10 +659,10 @@ fn run_lab_run_vs_standalone(kind: SchedulerKind) -> RunSignature {
 /// zeroed, every other knob may be set and the design must still build
 /// the pre-fairness constant-based fabric — consuming no randomness and
 /// perturbing no event — so its digest equals the plain default's.
-fn run_cloud_zero_knobs(kind: SchedulerKind) -> RunSignature {
+fn run_cloud_zero_knobs() -> RunSignature {
     use tn_topo::{CloudConfig, CloudFairnessSpec};
 
-    let baseline = run_design(&CloudDesign::default(), 7, kind);
+    let baseline = run_design(&CloudDesign::default(), 7);
     let knobs_without_gate = CloudDesign {
         cloud: CloudConfig {
             fairness: CloudFairnessSpec {
@@ -693,7 +672,7 @@ fn run_cloud_zero_knobs(kind: SchedulerKind) -> RunSignature {
             ..CloudConfig::default()
         },
     };
-    let sig = run_design(&knobs_without_gate, 7, kind);
+    let sig = run_design(&knobs_without_gate, 7);
     assert_eq!(
         baseline, sig,
         "a fan-out-0 fairness spec must be bit-transparent"
@@ -704,13 +683,12 @@ fn run_cloud_zero_knobs(kind: SchedulerKind) -> RunSignature {
 /// Design 2 with the full demo mechanism set live on the hot path:
 /// overlay relay tree on the internal feed, a delay-equalizer gate per
 /// strategy, and the hold-and-release sequencer spliced into the order
-/// path. The assembly must dual-run and stay scheduler-neutral, and an
-/// enabled spec must surface `FairnessStats` in the report.
-fn run_cloud_fairness_design(kind: SchedulerKind) -> RunSignature {
+/// path. The assembly must dual-run, and an enabled spec must surface
+/// `FairnessStats` in the report.
+fn run_cloud_fairness_design() -> RunSignature {
     use tn_topo::{CloudConfig, CloudFairnessSpec};
 
-    let mut sc = trimmed(ScenarioConfig::small(7));
-    sc.scheduler = kind;
+    let sc = trimmed(ScenarioConfig::small(7));
     let design = CloudDesign {
         cloud: CloudConfig {
             fairness: CloudFairnessSpec::demo(),
@@ -733,11 +711,10 @@ fn run_cloud_fairness_design(kind: SchedulerKind) -> RunSignature {
 /// `FaultLink` streams and the residual rides the node-owned stream, so
 /// the whole frontier point must dual-run bit-for-bit; its digest is
 /// what `BENCH_cloud.json` reports for this cell.
-fn run_cloud_fairness_frontier(kind: SchedulerKind) -> RunSignature {
+fn run_cloud_fairness_frontier() -> RunSignature {
     use tn_cloud::{run_fairness, DesignKind, FairnessScenario};
 
-    let mut sc = FairnessScenario::small(7);
-    sc.scheduler = kind;
+    let sc = FairnessScenario::small(7);
     let run = run_fairness(
         &sc,
         &DesignKind::Cloud {
@@ -785,47 +762,9 @@ mod tests {
         // Golden digest from before the fault layer existed: the refactor
         // (LinkSpec, builder, RecoveryStats) must not perturb a single
         // kernel event on the zero-fault path.
-        let sig = run_quickstart(SchedulerKind::BinaryHeap);
+        let sig = run_quickstart();
         assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
         assert_eq!(sig.events, 19_924);
-    }
-
-    #[test]
-    fn golden_digests_hold_under_the_calendar_queue() {
-        // The scheduler swap must be invisible: the calendar queue has to
-        // reproduce the pinned binary-heap digests bit for bit, with and
-        // without telemetry and under the fault layer.
-        let sig = run_quickstart(SchedulerKind::CalendarQueue);
-        assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
-        assert_eq!(sig.events, 19_924);
-
-        let obs = run_quickstart_obs_on_vs_off(SchedulerKind::CalendarQueue);
-        assert_eq!(obs.digest, 0xff1dbcd7cf7e729e, "{obs:?}");
-
-        let decomp = run_latency_decomposition(SchedulerKind::CalendarQueue);
-        assert_eq!(decomp.digest, 0xb97aeac301534e76, "{decomp:?}");
-        assert_eq!(decomp.events, 1_088);
-
-        for runner in [run_fault_loss_recovery, run_fault_ab_failover] {
-            assert_eq!(
-                runner(SchedulerKind::BinaryHeap),
-                runner(SchedulerKind::CalendarQueue),
-                "fault scenarios must agree across schedulers"
-            );
-        }
-    }
-
-    #[test]
-    fn golden_digests_hold_under_the_timing_wheel() {
-        // Third scheduler, same contract: the hierarchical wheel must
-        // reproduce the pinned binary-heap digest bit for bit.
-        let sig = run_quickstart(SchedulerKind::TimingWheel);
-        assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
-        assert_eq!(sig.events, 19_924);
-
-        let decomp = run_latency_decomposition(SchedulerKind::TimingWheel);
-        assert_eq!(decomp.digest, 0xb97aeac301534e76, "{decomp:?}");
-        assert_eq!(decomp.events, 1_088);
     }
 
     #[test]
@@ -843,7 +782,7 @@ mod tests {
     fn zero_fault_spec_reproduces_quickstart_digest() {
         // A no-op FaultSpec routes the feed through FaultLink wrappers;
         // the wrapping itself must be bit-transparent.
-        let baseline = run_quickstart(SchedulerKind::BinaryHeap);
+        let baseline = run_quickstart();
         let mut sc = trimmed(ScenarioConfig::small(42));
         sc.feed_fault = Some(tn_fault::FaultSpec::new(0));
         let report = TraditionalSwitches::default().run(&sc);
@@ -855,7 +794,7 @@ mod tests {
     fn full_telemetry_reproduces_the_golden_quickstart_digest() {
         // The tentpole invariant of tn-obs: turning everything on leaves
         // the pre-telemetry golden digest untouched.
-        let sig = run_quickstart_obs_on_vs_off(SchedulerKind::BinaryHeap);
+        let sig = run_quickstart_obs_on_vs_off();
         assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
         assert_eq!(sig.events, 19_924);
     }
@@ -864,7 +803,7 @@ mod tests {
     fn flight_recorder_reproduces_the_golden_quickstart_digest() {
         // The PR-8 tentpole invariant: a fully-on flight recorder and
         // kernel profiler leave the pinned golden digest untouched.
-        let sig = run_quickstart_flight_on_vs_off(SchedulerKind::BinaryHeap);
+        let sig = run_quickstart_flight_on_vs_off();
         assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
         assert_eq!(sig.events, 19_924);
     }
@@ -873,29 +812,23 @@ mod tests {
     fn sharded_quickstart_reproduces_the_golden_digest() {
         // The PR-9 tentpole invariant: the sharded kernel reproduces the
         // pinned golden digest for every shard count 1..=8 (asserted
-        // inside the runner) under all three schedulers.
-        for kind in [
-            SchedulerKind::BinaryHeap,
-            SchedulerKind::CalendarQueue,
-            SchedulerKind::TimingWheel,
-        ] {
-            let sig = run_shard_quickstart(kind);
-            assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{kind:?} {sig:?}");
-            assert_eq!(sig.events, 19_924);
-        }
+        // inside the runner).
+        let sig = run_shard_quickstart();
+        assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
+        assert_eq!(sig.events, 19_924);
     }
 
     #[test]
     fn sharded_faulted_quickstart_matches_serial() {
         // Fault decisions live in FaultLink's own PRNG, so the sharded
         // replay must agree with serial even on a lossy feed.
-        let sig = run_shard_faulted(SchedulerKind::BinaryHeap);
+        let sig = run_shard_faulted();
         assert!(sig.events > 0, "{sig:?}");
     }
 
     #[test]
     fn latency_decomposition_digest_is_pinned() {
-        let sig = run_latency_decomposition(SchedulerKind::BinaryHeap);
+        let sig = run_latency_decomposition();
         assert_eq!(sig.digest, 0xb97aeac301534e76, "{sig:?}");
         assert_eq!(sig.events, 1_088);
     }
@@ -906,26 +839,24 @@ mod tests {
         // documents asserted byte-equal inside the runner fn. The event
         // total is pinned: any change to the smoke grid or to a cell's
         // schedule moves it.
-        let sig = run_lab_parallel_vs_serial(SchedulerKind::BinaryHeap);
+        let sig = run_lab_parallel_vs_serial();
         assert!(sig.events > 18 * 1_000, "{sig:?}");
-        let again = run_lab_parallel_vs_serial(SchedulerKind::BinaryHeap);
+        let again = run_lab_parallel_vs_serial();
         assert_eq!(sig, again, "merged document must dual-run identically");
     }
 
     #[test]
     fn lab_run_vs_standalone_reproduces_the_golden_digest() {
-        let sig = run_lab_run_vs_standalone(SchedulerKind::BinaryHeap);
+        let sig = run_lab_run_vs_standalone();
         assert_eq!(sig.digest, 0xff1dbcd7cf7e729e, "{sig:?}");
         assert_eq!(sig.events, 19_924);
-        let cal = run_lab_run_vs_standalone(SchedulerKind::CalendarQueue);
-        assert_eq!(sig, cal, "lab cell must be scheduler-neutral");
     }
 
     #[test]
     fn cloud_scenarios_are_deterministic() {
         // Covers shootout-cloud plus the three fairness scenarios: dual
-        // run + calendar queue, with the transparency and hold-charge
-        // asserts firing inside the runners.
+        // run, with the transparency and hold-charge asserts firing
+        // inside the runners.
         for o in run_all(Some("cloud")) {
             assert!(o.passed(), "{o:?}");
             assert!(o.first.events > 0, "{:?}", o.name);
@@ -937,11 +868,9 @@ mod tests {
         // The exact cell `bench_cloud` reports at jitter 2 µs: the
         // digest in BENCH_cloud.json and the one the registry replays
         // must be the same number.
-        let sig = run_cloud_fairness_frontier(SchedulerKind::BinaryHeap);
+        let sig = run_cloud_fairness_frontier();
         assert_eq!(sig.digest, 0xb6000289d5a38e48, "{sig:?}");
         assert_eq!(sig.events, 1_400);
-        let wheel = run_cloud_fairness_frontier(SchedulerKind::TimingWheel);
-        assert_eq!(sig, wheel, "frontier point must be scheduler-neutral");
     }
 
     #[test]
@@ -962,8 +891,8 @@ mod tests {
 
     #[test]
     fn feed_handler_is_deterministic() {
-        let a = run_feed_handler(SchedulerKind::BinaryHeap);
-        let b = run_feed_handler(SchedulerKind::CalendarQueue);
+        let a = run_feed_handler();
+        let b = run_feed_handler();
         assert_eq!(a, b);
         assert!(a.events > 0);
     }

@@ -8,7 +8,7 @@
 //!   a lightweight item parser ([`items`]) that builds a workspace-wide
 //!   call graph ([`callgraph`]). Hot taint is propagated from the
 //!   kernel's registered dispatch roots (`Node::on_frame`/`on_timer`,
-//!   `Scheduler` queue ops, `Link` timing, `Simulator::step`) and
+//!   `Link` timing, `Simulator::step`) and
 //!   determinism taint from the schedule-feeding APIs, then token-level
 //!   lints flag the classic ways determinism dies in Rust — iterating a
 //!   `HashMap`/`HashSet` (address-seeded order), wall-clock reads,

@@ -196,14 +196,8 @@ fn run_divergence(args: &Args) -> ExitCode {
         } else {
             failed += 1;
             println!(
-                "divergence {:<26} FAIL run1 digest={:016x} events={} run2 digest={:016x} events={} calendar digest={:016x} events={}",
-                o.name,
-                o.first.digest,
-                o.first.events,
-                o.second.digest,
-                o.second.events,
-                o.calendar.digest,
-                o.calendar.events
+                "divergence {:<26} FAIL run1 digest={:016x} events={} run2 digest={:016x} events={}",
+                o.name, o.first.digest, o.first.events, o.second.digest, o.second.events
             );
         }
     }

@@ -191,7 +191,7 @@ mod tests {
         );
         let ex = scope_for("examples/quickstart.rs").unwrap();
         assert!(!ex.hotpath && !ex.perf && !ex.obs && ex.schema);
-        let t = scope_for("tests/scheduler_equivalence.rs").unwrap();
+        let t = scope_for("tests/fanout_properties.rs").unwrap();
         assert!(!t.hotpath && t.schema);
     }
 

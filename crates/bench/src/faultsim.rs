@@ -19,8 +19,7 @@ use tn_feed::nodes::{
 use tn_feed::retrans::RecoveryConfig;
 use tn_feed::Arbiter;
 use tn_sim::{
-    Context, Frame, KernelProfile, Node, ObsConfig, PortId, SchedulerKind, SimTime, Simulator,
-    TimerToken,
+    Context, Frame, KernelProfile, Node, ObsConfig, PortId, SimTime, Simulator, TimerToken,
 };
 use tn_wire::{eth, ipv4, pitch, stack};
 
@@ -201,8 +200,6 @@ pub struct LossRecoveryConfig {
     pub interval: SimTime,
     /// Receiver retry policy.
     pub recovery: RecoveryConfig,
-    /// Event scheduler the kernel runs on (digest-neutral).
-    pub scheduler: SchedulerKind,
     /// Observability switches (digest-neutral; off by default).
     pub obs: ObsConfig,
 }
@@ -223,7 +220,6 @@ impl LossRecoveryConfig {
                 max_retries: 3,
                 max_held: 10_000,
             },
-            scheduler: SchedulerKind::BinaryHeap,
             obs: ObsConfig::off(),
         }
     }
@@ -272,7 +268,7 @@ impl LossRecoveryRun {
 /// reordering receiver, with a clean tap into a retransmission unit and
 /// a clean unicast recovery channel.
 pub fn run_loss_recovery(cfg: &LossRecoveryConfig) -> LossRecoveryRun {
-    let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
+    let mut sim = Simulator::new(cfg.seed);
     apply_obs(&mut sim, &cfg.obs);
     let src = sim.add_node(
         "src",
@@ -353,8 +349,6 @@ pub struct AbFailoverConfig {
     /// Degraded window to measure throughput over (usually the A-side
     /// outage), as `(start, end)`.
     pub window: (SimTime, SimTime),
-    /// Event scheduler the kernel runs on (digest-neutral).
-    pub scheduler: SchedulerKind,
     /// Observability switches (digest-neutral; off by default).
     pub obs: ObsConfig,
 }
@@ -373,7 +367,6 @@ impl AbFailoverConfig {
             msgs_per_packet: 4,
             interval: SimTime::from_us(5),
             window,
-            scheduler: SchedulerKind::BinaryHeap,
             obs: ObsConfig::off(),
         }
     }
@@ -413,7 +406,7 @@ pub struct AbFailoverRun {
 /// Run the A/B-failover scenario: one publisher, two copies over
 /// independently faulted links, arbitration at the receiver.
 pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
-    let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
+    let mut sim = Simulator::new(cfg.seed);
     apply_obs(&mut sim, &cfg.obs);
     let src = sim.add_node(
         "src",

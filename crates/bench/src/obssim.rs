@@ -17,8 +17,8 @@
 use tn_netdev::{EtherLink, Tap};
 use tn_obs::TraceWriter;
 use tn_sim::{
-    Context, Frame, KernelProfile, Metrics, Node, ObsConfig, PortId, Provenance, SchedulerKind,
-    SimTime, Simulator, Snapshot, TimerToken,
+    Context, Frame, KernelProfile, Metrics, Node, ObsConfig, PortId, Provenance, SimTime,
+    Simulator, Snapshot, TimerToken,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -39,8 +39,6 @@ pub struct DecompositionConfig {
     pub interval: SimTime,
     /// Per-frame hold time at the relay (its processing service).
     pub relay_service: SimTime,
-    /// Event scheduler the kernel runs on (digest-neutral).
-    pub scheduler: SchedulerKind,
 }
 
 impl DecompositionConfig {
@@ -56,7 +54,6 @@ impl DecompositionConfig {
             payload: 512,
             interval: SimTime::from_us(20),
             relay_service: SimTime::from_us(1),
-            scheduler: SchedulerKind::BinaryHeap,
         }
     }
 }
@@ -186,7 +183,7 @@ pub struct DecompositionRun {
 /// Run the chain under the given telemetry switches. The digest must not
 /// depend on `obs` — that is the invariant `tn-audit divergence` pins.
 pub fn run_decomposition(cfg: &DecompositionConfig, obs: ObsConfig) -> DecompositionRun {
-    let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
+    let mut sim = Simulator::new(cfg.seed);
     if obs.provenance {
         sim.set_provenance(true);
     }

@@ -29,8 +29,7 @@
 use tn_fault::{FaultLink, FaultSpec};
 use tn_netdev::EtherLink;
 use tn_sim::{
-    Context, Frame, IdealLink, Link, Node, NodeId, PortId, SchedulerKind, SimTime, Simulator,
-    TimerToken,
+    Context, Frame, IdealLink, Link, Node, NodeId, PortId, SimTime, Simulator, TimerToken,
 };
 use tn_stats::{FairnessWindow, Summary};
 
@@ -68,9 +67,6 @@ pub struct FairnessScenario {
     pub payload: usize,
     /// Seed for the kernel and every derived fault/residual stream.
     pub seed: u64,
-    /// Event scheduler the kernel runs on; any kind must reproduce the
-    /// same digest (pinned in the divergence registry).
-    pub scheduler: SchedulerKind,
 }
 
 impl FairnessScenario {
@@ -82,7 +78,6 @@ impl FairnessScenario {
             period: SimTime::from_us(50),
             payload: 256,
             seed,
-            scheduler: SchedulerKind::BinaryHeap,
         }
     }
 }
@@ -278,7 +273,7 @@ fn drive_and_collect(mut sim: Simulator, src: NodeId, sinks: &[NodeId], late: u6
 }
 
 fn run_l1(sc: &FairnessScenario) -> RawRun {
-    let mut sim = Simulator::with_scheduler(sc.seed, sc.scheduler);
+    let mut sim = Simulator::new(sc.seed);
     let src = add_source(&mut sim, sc);
     let cfg = OverlayTreeConfig {
         fanout: sc.subscribers as u16,
@@ -311,7 +306,7 @@ fn run_l1(sc: &FairnessScenario) -> RawRun {
 }
 
 fn run_leafspine(sc: &FairnessScenario) -> RawRun {
-    let mut sim = Simulator::with_scheduler(sc.seed, sc.scheduler);
+    let mut sim = Simulator::new(sc.seed);
     let src = add_source(&mut sim, sc);
     let cfg = OverlayTreeConfig {
         fanout: LS_FANOUT,
@@ -340,7 +335,7 @@ fn run_cloud(
     ceiling: SimTime,
     residual: SimTime,
 ) -> RawRun {
-    let mut sim = Simulator::with_scheduler(sc.seed, sc.scheduler);
+    let mut sim = Simulator::new(sc.seed);
     let src = add_source(&mut sim, sc);
     let vm_link = |idx: u64| -> Box<dyn Link> {
         let base = EtherLink::ten_gig(VM_PROP);

@@ -215,18 +215,17 @@ fn connect_exchange_feed(
     }
 }
 
-/// Build the kernel a design runs on: the scenario's event scheduler,
-/// then the telemetry it asked for. Called before any node or link
+/// Build the kernel a design runs on, with the telemetry and arena
+/// pooling the scenario asked for. Called before any node or link
 /// exists: `add_node` / `install_link` hand the metrics handle to
 /// everything added later, including the fault wrappers
 /// `connect_exchange_feed` installs. None of the knobs move the run —
-/// schedulers pop in identical `(time, seq)` order, telemetry is purely
-/// side-state, and arena pooling hands out logically empty buffers
-/// either way, so the event schedule and trace digest are identical for
-/// any [`tn_sim::SchedulerKind`] / [`tn_sim::ObsConfig`] /
-/// `frame_pooling` setting (pinned by `tn-audit divergence`).
+/// telemetry is purely side-state, and arena pooling hands out
+/// logically empty buffers either way, so the event schedule and trace
+/// digest are identical for any [`tn_sim::ObsConfig`] / `frame_pooling`
+/// setting (pinned by `tn-audit divergence`).
 fn build_sim(sc: &ScenarioConfig) -> Simulator {
-    let mut sim = Simulator::with_scheduler(sc.seed, sc.scheduler);
+    let mut sim = Simulator::new(sc.seed);
     if !sc.frame_pooling {
         sim.set_arena_max_free(0);
     }
@@ -1024,21 +1023,6 @@ mod tests {
             d3b.reaction.min,
             d1.reaction.min
         );
-    }
-
-    #[test]
-    fn alternative_schedulers_leave_digest_untouched() {
-        let heap = ScenarioConfig::small(7);
-        let r_heap = TraditionalSwitches::default().run(&heap);
-        for kind in tn_sim::SchedulerKind::ALL {
-            let mut other = ScenarioConfig::small(7);
-            other.scheduler = kind;
-            let r_other = TraditionalSwitches::default().run(&other);
-            // Scheduler choice is wall-clock-only: same pops, same digest.
-            assert_eq!(r_heap.trace_digest, r_other.trace_digest, "{}", kind.name());
-            assert_eq!(r_heap.events_recorded, r_other.events_recorded);
-            assert_eq!(r_heap.orders_sent, r_other.orders_sent);
-        }
     }
 
     #[test]

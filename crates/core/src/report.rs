@@ -338,8 +338,8 @@ pub struct DesignReport {
     /// Latency decomposition and counters, when the scenario enabled the
     /// metrics registry (`ScenarioConfig::obs.registry`).
     pub telemetry: Option<Telemetry>,
-    /// Kernel self-profile (dispatch counters, queue-depth series,
-    /// scheduler and arena statistics), when the scenario enabled the
+    /// Kernel self-profile (dispatch counters, queue-depth series and
+    /// arena statistics), when the scenario enabled the
     /// profiler (`ScenarioConfig::obs.profile`). Like telemetry, purely
     /// an output — collection never moves the trace digest.
     pub profile: Option<KernelProfile>,
@@ -577,8 +577,6 @@ impl DesignReport {
         if let Some(p) = &self.profile {
             s.push_str(",\"kernel_profile\":{");
             json_u64(&mut s, "at_ps", p.at_ps);
-            s.push(',');
-            json_str(&mut s, "scheduler", &p.scheduler);
             for (k, v) in [
                 ("frames", p.frames),
                 ("timers", p.timers),
@@ -586,10 +584,6 @@ impl DesignReport {
                 ("schedules", p.schedules),
                 ("max_queue_depth", p.max_queue_depth),
                 ("queue_stride", p.queue_stride),
-                ("sched_rebuilds", p.sched_rebuilds),
-                ("sched_cascades", p.sched_cascades),
-                ("sched_bucket_count", p.sched_bucket_count),
-                ("sched_bucket_width_ps", p.sched_bucket_width_ps),
                 ("arena_allocated", p.arena_allocated),
                 ("arena_reused", p.arena_reused),
                 ("arena_recycled", p.arena_recycled),
@@ -602,14 +596,7 @@ impl DesignReport {
                 Some(r) => s.push_str(&format!("{r:.6}")),
                 None => s.push_str("null"),
             }
-            s.push_str(",\"wheel_occupancy\":[");
-            for (i, occ) in p.wheel_occupancy.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&occ.to_string());
-            }
-            s.push_str("],\"queue_depth\":[");
+            s.push_str(",\"queue_depth\":[");
             for (i, (at, depth)) in p.queue_depth.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
@@ -821,7 +808,6 @@ mod tests {
     fn sample_profile() -> KernelProfile {
         KernelProfile {
             at_ps: 8_000_000,
-            scheduler: "binary-heap".into(),
             frames: 40,
             timers: 2,
             drops: 1,
@@ -838,11 +824,6 @@ mod tests {
                 first_at_ps: 100,
                 last_at_ps: 7_999_000,
             }],
-            sched_rebuilds: 0,
-            sched_cascades: 0,
-            sched_bucket_count: 0,
-            sched_bucket_width_ps: 0,
-            wheel_occupancy: [0; 9],
             arena_allocated: 10,
             arena_reused: 30,
             arena_recycled: 35,
@@ -949,12 +930,11 @@ mod tests {
         r.profile = Some(sample_profile());
         let j = r.to_json();
         assert!(
-            j.contains("\"kernel_profile\":{\"at_ps\":8000000,\"scheduler\":\"binary-heap\""),
+            j.contains("\"kernel_profile\":{\"at_ps\":8000000,\"frames\":40"),
             "{j}"
         );
         assert!(j.contains("\"frames\":40,\"timers\":2,\"drops\":1"), "{j}");
         assert!(j.contains("\"arena_reuse_ratio\":0.750000"), "{j}");
-        assert!(j.contains("\"wheel_occupancy\":[0,0,0,0,0,0,0,0,0]"), "{j}");
         assert!(j.contains("\"queue_depth\":[[0,1],[4000000,6]]"), "{j}");
         assert!(
             j.contains("\"busiest_nodes\":[{\"node\":2,\"frames\":40"),
@@ -974,10 +954,7 @@ mod tests {
         assert!(!r.summary().contains("kernel profile"));
         r.profile = Some(sample_profile());
         let s = r.summary();
-        assert!(
-            s.contains("kernel profile @ 8000000 ps (binary-heap)"),
-            "{s}"
-        );
+        assert!(s.contains("kernel profile @ 8000000 ps\n"), "{s}");
         assert!(s.contains("75.0% reuse"), "{s}");
         assert!(
             s.contains("network_share=50.0%"),

@@ -1,7 +1,7 @@
 //! The common firm + market scenario all designs run.
 
 use tn_fault::FaultSpec;
-use tn_sim::{ObsConfig, SchedulerKind, ShardPlan, SimTime, Simulator};
+use tn_sim::{ObsConfig, ShardPlan, SimTime, Simulator};
 
 /// Why a [`ScenarioBuilder`] refused to produce a config.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,7 @@ impl std::error::Error for ConfigError {}
 /// Every variant produces the *same* trace digest — sharded execution is
 /// pinned bit-for-bit against the serial run by `tn-audit divergence`
 /// and the shard-equivalence proptest — so this knob trades wall-clock
-/// only, like [`ScenarioConfig::scheduler`].
+/// time only.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ShardSpec {
     /// One kernel, one thread: the reference execution.
@@ -129,14 +129,6 @@ pub struct ScenarioConfig {
     /// Off by default; turning any of them on never changes a run's
     /// event schedule or trace digest (pinned by `tn-audit divergence`).
     pub obs: ObsConfig,
-    /// Event scheduler the kernel runs on. The default stays the
-    /// reference [`SchedulerKind::BinaryHeap`]; switching to
-    /// [`SchedulerKind::CalendarQueue`] or
-    /// [`SchedulerKind::TimingWheel`] changes wall-clock speed only —
-    /// all three pop events in identical `(time, seq)` order, so trace
-    /// digests are bit-for-bit unchanged (pinned by `tn-audit
-    /// divergence` and the scheduler-equivalence proptest).
-    pub scheduler: SchedulerKind,
     /// Recycle frame payload buffers through the kernel's
     /// [`tn_sim::FrameArena`] (the default). Turning pooling off makes
     /// every frame build a fresh allocation but never moves the run:
@@ -193,7 +185,6 @@ impl ScenarioConfig {
             tick_interval: SimTime::from_us(200),
             feed_fault: None,
             obs: ObsConfig::off(),
-            scheduler: SchedulerKind::BinaryHeap,
             frame_pooling: true,
             shards: ShardSpec::Serial,
         }
@@ -222,7 +213,6 @@ impl ScenarioConfig {
             tick_interval: SimTime::from_us(200),
             feed_fault: None,
             obs: ObsConfig::off(),
-            scheduler: SchedulerKind::BinaryHeap,
             frame_pooling: true,
             shards: ShardSpec::Serial,
         }
@@ -352,13 +342,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Event scheduler the kernel runs on (digest-neutral; see
-    /// [`ScenarioConfig::scheduler`]).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> ScenarioBuilder {
-        self.cfg.scheduler = scheduler;
-        self
-    }
-
     /// Frame-buffer pooling through the kernel arena (digest-neutral;
     /// see [`ScenarioConfig::frame_pooling`]).
     pub fn frame_pooling(mut self, on: bool) -> ScenarioBuilder {
@@ -476,24 +459,6 @@ mod tests {
             .unwrap();
         assert!(sc.feed_fault.is_some());
         assert!(ScenarioConfig::small(1).feed_fault.is_none());
-    }
-
-    #[test]
-    fn builder_carries_scheduler_kind() {
-        let sc = ScenarioConfig::builder(1)
-            .scheduler(SchedulerKind::CalendarQueue)
-            .build()
-            .unwrap();
-        assert_eq!(sc.scheduler, SchedulerKind::CalendarQueue);
-        // Presets stay on the reference heap so existing runs never move.
-        assert_eq!(
-            ScenarioConfig::small(1).scheduler,
-            SchedulerKind::BinaryHeap
-        );
-        assert_eq!(
-            ScenarioConfig::paper_scale(1).scheduler,
-            SchedulerKind::BinaryHeap
-        );
     }
 
     #[test]

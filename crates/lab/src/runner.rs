@@ -18,7 +18,7 @@ use tn_core::{
     TraditionalSwitches,
 };
 use tn_fault::FaultSpec;
-use tn_sim::{ObsConfig, SchedulerKind, SimTime};
+use tn_sim::{ObsConfig, SimTime};
 
 use crate::spec::RunPlan;
 
@@ -48,22 +48,18 @@ pub trait RunExecutor: Sync {
 /// The default executor: builds a [`ScenarioConfig`] from the plan's
 /// base preset + parameters and runs it over the named design.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScenarioExecutor {
-    /// Event scheduler for every run (digest-neutral; defaults to the
-    /// reference binary heap).
-    pub scheduler: SchedulerKind,
-}
+pub struct ScenarioExecutor;
 
 impl ScenarioExecutor {
-    /// Executor on the reference scheduler.
+    /// The default executor.
     pub fn new() -> ScenarioExecutor {
-        ScenarioExecutor::default()
+        ScenarioExecutor
     }
 }
 
 impl RunExecutor for ScenarioExecutor {
     fn execute(&self, plan: &RunPlan) -> Result<RunOutcome, String> {
-        let sc = build_config(plan, self.scheduler)?;
+        let sc = build_config(plan)?;
         let design = resolve_design(&plan.design)?;
         let report = design.run(&sc);
         let metrics = vec![
@@ -97,13 +93,12 @@ pub fn resolve_design(alias: &str) -> Result<Box<dyn TradingNetworkDesign>, Stri
 /// Build the scenario for one plan: the base preset seeded with the
 /// plan's seed, then every parameter applied in order, then validated
 /// through the `ScenarioConfig` builder.
-pub fn build_config(plan: &RunPlan, scheduler: SchedulerKind) -> Result<ScenarioConfig, String> {
+pub fn build_config(plan: &RunPlan) -> Result<ScenarioConfig, String> {
     let mut sc = match plan.base.as_str() {
         "small" => ScenarioConfig::small(plan.seed),
         "paper" => ScenarioConfig::paper_scale(plan.seed),
         other => return Err(format!("unknown base preset `{other}` (small|paper)")),
     };
-    sc.scheduler = scheduler;
     for (param, value) in &plan.params {
         apply_param(&mut sc, plan.seed, param, *value)?;
     }
@@ -251,32 +246,28 @@ mod tests {
                 ("obs_full".into(), 1.0),
             ],
         };
-        let sc = build_config(&plan, SchedulerKind::CalendarQueue).unwrap();
+        let sc = build_config(&plan).unwrap();
         assert_eq!(sc.seed, 7);
         assert_eq!(sc.strategies, 9);
         assert_eq!(sc.duration, SimTime::from_us(8_000));
         assert!(sc.feed_fault.is_some());
         assert_eq!(sc.obs, ObsConfig::full());
-        assert_eq!(sc.scheduler, SchedulerKind::CalendarQueue);
 
         // Zero loss leaves the fault slot empty.
         let mut clean = plan.clone();
         clean.params = vec![("iid_loss".into(), 0.0)];
-        assert!(build_config(&clean, SchedulerKind::BinaryHeap)
-            .unwrap()
-            .feed_fault
-            .is_none());
+        assert!(build_config(&clean).unwrap().feed_fault.is_none());
 
         // Unknown params and non-integer counts are rejected.
         let mut bad = plan.clone();
         bad.params = vec![("flux_capacitance".into(), 1.21)];
-        assert!(build_config(&bad, SchedulerKind::BinaryHeap).is_err());
+        assert!(build_config(&bad).is_err());
         bad.params = vec![("strategies".into(), 2.5)];
-        assert!(build_config(&bad, SchedulerKind::BinaryHeap).is_err());
+        assert!(build_config(&bad).is_err());
 
         // Builder validation still applies (zero strategies).
         bad.params = vec![("strategies".into(), 0.0)];
-        assert!(build_config(&bad, SchedulerKind::BinaryHeap).is_err());
+        assert!(build_config(&bad).is_err());
     }
 
     #[test]
@@ -290,6 +281,6 @@ mod tests {
             seed: 1,
             params: vec![],
         };
-        assert!(build_config(&plan, SchedulerKind::BinaryHeap).is_err());
+        assert!(build_config(&plan).is_err());
     }
 }

@@ -23,8 +23,8 @@ pub struct ObsConfig {
     /// enable time.
     pub flight_capacity: u32,
     /// Maintain the deterministic [`crate::KernelProfiler`] (per-node /
-    /// per-kind dispatch counts, queue-depth series, scheduler and arena
-    /// statistics in the resulting `KernelProfile`).
+    /// per-kind dispatch counts, queue-depth series and arena statistics
+    /// in the resulting `KernelProfile`).
     pub profile: bool,
 }
 

@@ -20,7 +20,7 @@
 /// hot-path state change is covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlightKind {
-    /// An event was pushed into the scheduler (`a` = insertion seq,
+    /// An event was pushed into the event queue (`a` = insertion seq,
     /// `b` = simulated time of the push, ps; `at_ps` = when it fires).
     Schedule,
     /// A frame or timer was popped and dispatched to a node
@@ -35,12 +35,6 @@ pub enum FlightKind {
     /// A frame build reused a pooled arena buffer (`a` = frame id about
     /// to be assigned).
     FrameReuse,
-    /// The timing wheel cascaded an upper-level slot down
-    /// (`a` = cumulative cascade count, `b` = pending events).
-    WheelCascade,
-    /// The calendar queue rebuilt its bucket array
-    /// (`a` = bucket count, `b` = bucket width, ps).
-    CalendarRebuild,
     /// A feed receiver detected a sequence gap and asked for
     /// retransmission (`a`/`b` = application detail, e.g. first missing
     /// sequence and gap length).
@@ -49,14 +43,12 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// Every kind, in declaration order.
-    pub const ALL: [FlightKind; 8] = [
+    pub const ALL: [FlightKind; 6] = [
         FlightKind::Schedule,
         FlightKind::Dispatch,
         FlightKind::Drop,
         FlightKind::FrameAlloc,
         FlightKind::FrameReuse,
-        FlightKind::WheelCascade,
-        FlightKind::CalendarRebuild,
         FlightKind::RecoveryGap,
     ];
 
@@ -68,8 +60,6 @@ impl FlightKind {
             FlightKind::Drop => "drop",
             FlightKind::FrameAlloc => "frame-alloc",
             FlightKind::FrameReuse => "frame-reuse",
-            FlightKind::WheelCascade => "wheel-cascade",
-            FlightKind::CalendarRebuild => "calendar-rebuild",
             FlightKind::RecoveryGap => "recovery-gap",
         }
     }
@@ -347,7 +337,7 @@ mod tests {
         for i in 0..3u64 {
             r.record(FlightRecord {
                 at_ps: i,
-                kind: FlightKind::CalendarRebuild,
+                kind: FlightKind::RecoveryGap,
                 node: u32::MAX,
                 shard: 0,
                 a: 64,
@@ -356,7 +346,7 @@ mod tests {
         }
         let dump = r.render();
         assert!(dump.contains("last 2 of 3 records"), "{dump}");
-        assert!(dump.contains("calendar-rebuild"), "{dump}");
+        assert!(dump.contains("recovery-gap"), "{dump}");
         assert!(dump.contains("node=-"), "{dump}");
     }
 

@@ -19,7 +19,7 @@
 //!   failure, or demand.
 //! - [`KernelProfiler`] / [`KernelProfile`] — deterministic self-profiler:
 //!   per-node and per-kind dispatch counts, a bounded queue-depth time
-//!   series, and scheduler/arena statistics, reported through
+//!   series, and arena statistics, reported through
 //!   `DesignReport`.
 //! - [`timeline`] — `tn-flight/v1` Chrome trace-event (Perfetto) export
 //!   and folded-stacks rendering of provenance documents.
@@ -41,9 +41,7 @@ pub mod trace;
 
 pub use config::{ObsConfig, DEFAULT_FLIGHT_CAPACITY};
 pub use flight::{FlightKind, FlightRecord, FlightRecorder};
-pub use profile::{
-    KernelProfile, KernelProfiler, NodeProfile, PROFILE_WHEEL_LEVELS, QUEUE_SERIES_CAP,
-};
+pub use profile::{KernelProfile, KernelProfiler, NodeProfile, QUEUE_SERIES_CAP};
 pub use provenance::{HopSegment, Provenance, SegmentKind};
 pub use registry::{
     Distribution, Metrics, MetricsRegistry, Snapshot, SnapshotEntry, SnapshotValue,

@@ -8,15 +8,10 @@
 //! run's trace digest.
 //!
 //! [`KernelProfile`] is the cold half: a plain-data snapshot combining
-//! the profiler counters with scheduler statistics (calendar rebuilds,
-//! wheel cascades, per-level occupancy) and arena reuse counters that
-//! the simulator fills in at snapshot time. It lives here, in `tn-obs`,
+//! the profiler counters with arena reuse counters that the simulator
+//! fills in at snapshot time. It lives here, in `tn-obs`,
 //! as pure integers so report and CLI layers can consume it without a
 //! dependency on the simulator crate.
-
-/// Wheel levels mirrored from the simulator's timing wheel, so the
-/// occupancy snapshot can be a fixed-size array.
-pub const PROFILE_WHEEL_LEVELS: usize = 9;
 
 /// How many queue-depth samples a profile retains. When the series
 /// fills up it is decimated in place (every other sample dropped, the
@@ -194,7 +189,7 @@ impl KernelProfiler {
         }
     }
 
-    /// An event was pushed into the scheduler; `depth` is the queue
+    /// An event was pushed into the event queue; `depth` is the queue
     /// length after the push. Samples the depth time series.
     #[inline]
     pub fn record_schedule(&mut self, at_ps: u64, depth: usize) {
@@ -224,15 +219,14 @@ impl KernelProfiler {
     }
 
     /// Freeze the counters into a plain-data [`KernelProfile`]. The
-    /// scheduler and arena sections are left zeroed for the simulator
-    /// to fill in; returns `None` when the profiler is disabled.
+    /// arena section is left zeroed for the simulator to fill in;
+    /// returns `None` when the profiler is disabled.
     pub fn snapshot(&self, at_ps: u64) -> Option<KernelProfile> {
         if !self.enabled {
             return None;
         }
         Some(KernelProfile {
             at_ps,
-            scheduler: String::new(),
             frames: self.frames,
             timers: self.timers,
             drops: self.drops,
@@ -246,11 +240,6 @@ impl KernelProfiler {
                 .filter(|n| n.dispatches() > 0 || n.drops > 0)
                 .copied()
                 .collect(),
-            sched_rebuilds: 0,
-            sched_cascades: 0,
-            sched_bucket_count: 0,
-            sched_bucket_width_ps: 0,
-            wheel_occupancy: [0; PROFILE_WHEEL_LEVELS],
             arena_allocated: 0,
             arena_reused: 0,
             arena_recycled: 0,
@@ -326,23 +315,20 @@ impl KernelProfiler {
 }
 
 /// Plain-data snapshot of kernel behavior over a run: dispatch counters
-/// from [`KernelProfiler`] plus scheduler and arena statistics filled in
-/// by the simulator at snapshot time. Everything is integers (+ one
-/// scheduler-name string), so it serializes and renders without touching
-/// simulator types.
+/// from [`KernelProfiler`] plus arena statistics filled in by the
+/// simulator at snapshot time. Everything is integers, so it serializes
+/// and renders without touching simulator types.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Simulated time the snapshot was taken, ps.
     pub at_ps: u64,
-    /// Active scheduler name (e.g. `binary-heap`).
-    pub scheduler: String,
     /// Frames dispatched.
     pub frames: u64,
     /// Timers dispatched.
     pub timers: u64,
     /// Frames dropped (loss, overflow, unrouted).
     pub drops: u64,
-    /// Events pushed into the scheduler.
+    /// Events pushed into the event queue.
     pub schedules: u64,
     /// Largest queue depth ever observed after a push.
     pub max_queue_depth: u64,
@@ -352,16 +338,6 @@ pub struct KernelProfile {
     pub queue_stride: u64,
     /// Per-node rows (only nodes with activity), ascending node id.
     pub per_node: Vec<NodeProfile>,
-    /// Calendar-queue bucket-array rebuilds (0 for other schedulers).
-    pub sched_rebuilds: u64,
-    /// Timing-wheel cascades (0 for other schedulers).
-    pub sched_cascades: u64,
-    /// Calendar-queue bucket count at snapshot time.
-    pub sched_bucket_count: u64,
-    /// Calendar-queue bucket width at snapshot time, ps.
-    pub sched_bucket_width_ps: u64,
-    /// Timing-wheel occupied slots per level at snapshot time.
-    pub wheel_occupancy: [u64; PROFILE_WHEEL_LEVELS],
     /// Frame buffers allocated fresh from the heap.
     pub arena_allocated: u64,
     /// Frame buffers reused from the arena free list.
@@ -405,10 +381,7 @@ impl KernelProfile {
     /// binaries; byte-stable for fixed input.
     pub fn render(&self, indent: &str) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{indent}kernel profile @ {} ps ({})\n",
-            self.at_ps, self.scheduler
-        ));
+        out.push_str(&format!("{indent}kernel profile @ {} ps\n", self.at_ps));
         out.push_str(&format!(
             "{indent}  dispatched : {} frames, {} timers, {} drops ({} scheduled)\n",
             self.frames, self.timers, self.drops, self.schedules
@@ -428,20 +401,6 @@ impl KernelProfile {
                 ratio * 100.0
             )),
             None => out.push_str(&format!("{indent}  arena      : no frames built\n")),
-        }
-        if self.sched_rebuilds > 0 || self.sched_bucket_count > 0 {
-            out.push_str(&format!(
-                "{indent}  calendar   : {} rebuilds, {} buckets x {} ps\n",
-                self.sched_rebuilds, self.sched_bucket_count, self.sched_bucket_width_ps
-            ));
-        }
-        if self.sched_cascades > 0 || self.wheel_occupancy.iter().any(|&o| o > 0) {
-            let occ: Vec<String> = self.wheel_occupancy.iter().map(|o| o.to_string()).collect();
-            out.push_str(&format!(
-                "{indent}  wheel      : {} cascades, occupancy [{}]\n",
-                self.sched_cascades,
-                occ.join(" ")
-            ));
         }
         for row in self.busiest_nodes(5) {
             out.push_str(&format!(
@@ -604,17 +563,9 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_scheduler_sections_only_when_active() {
-        let mut prof = KernelProfiler::enabled().snapshot(42).expect("enabled");
-        prof.scheduler = "timing-wheel".to_string();
-        prof.sched_cascades = 7;
-        prof.wheel_occupancy[0] = 3;
+    fn render_header_names_only_the_snapshot_time() {
+        let prof = KernelProfiler::enabled().snapshot(42).expect("enabled");
         let text = prof.render("  ");
-        assert!(
-            text.contains("kernel profile @ 42 ps (timing-wheel)"),
-            "{text}"
-        );
-        assert!(text.contains("7 cascades"), "{text}");
-        assert!(!text.contains("calendar"), "{text}");
+        assert!(text.starts_with("  kernel profile @ 42 ps\n"), "{text}");
     }
 }

@@ -1,6 +1,7 @@
 //! The event loop: queue, dispatch, link lookup, statistics.
 
 use std::any::Any;
+use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +12,7 @@ use crate::context::{Action, Context, TimerToken};
 use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
-use crate::sched::{EventKind, FrameSlab, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
+use crate::sched::{EventKind, FrameSlab, QueuedEvent};
 use crate::shard::{WEntry, WindowState};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -87,8 +88,8 @@ pub struct SimStats {
 pub struct Simulator {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
-    pub(crate) queue: Box<dyn Scheduler>,
-    pub(crate) sched_kind: SchedulerKind,
+    /// Pending events, a min-heap on `(time, seq)`.
+    pub(crate) queue: BinaryHeap<QueuedEvent>,
     /// Node slots indexed by global node id. Serial simulators are dense
     /// (every slot `Some`); a shard of a partitioned run keeps global ids
     /// and leaves foreign nodes `None`.
@@ -106,9 +107,6 @@ pub struct Simulator {
     pub(crate) metrics: tn_obs::Metrics,
     pub(crate) flight: FlightRecorder,
     pub(crate) profiler: KernelProfiler,
-    /// Scheduler counters at the last flight observation, so rebuild /
-    /// cascade deltas can be turned into flight records.
-    pub(crate) last_sched: SchedStats,
     /// `Some` while this simulator runs as one shard of a partitioned
     /// run: dispatches append reconciliation entries here instead of
     /// recording into `trace`, and cross-shard deliveries are buffered
@@ -119,23 +117,12 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create an empty simulator whose randomness is derived from `seed`,
-    /// using the reference [`SchedulerKind::BinaryHeap`] event scheduler.
+    /// Create an empty simulator whose randomness is derived from `seed`.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_scheduler(seed, SchedulerKind::BinaryHeap)
-    }
-
-    /// Create an empty simulator with an explicit event scheduler. Every
-    /// [`SchedulerKind`] pops events in the same `(time, seq)` order, so
-    /// the choice affects wall-clock speed only — trace digests are
-    /// bit-for-bit identical across kinds (pinned by `tn-audit divergence`
-    /// and `tests/scheduler_equivalence.rs`).
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         Simulator {
             now: SimTime::ZERO,
             seq: 0,
-            queue: kind.build(),
-            sched_kind: kind,
+            queue: BinaryHeap::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             frames: FrameSlab::default(),
@@ -148,15 +135,9 @@ impl Simulator {
             metrics: tn_obs::Metrics::disabled(),
             flight: FlightRecorder::disabled(),
             profiler: KernelProfiler::disabled(),
-            last_sched: SchedStats::default(),
             wlog: None,
             trace: TraceLog::disabled(),
         }
-    }
-
-    /// Which event scheduler this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sched_kind
     }
 
     /// Enable or disable per-hop latency provenance. When on, every frame
@@ -199,8 +180,8 @@ impl Simulator {
 
     /// Size (and enable) the tn-flight recorder: keep the last
     /// `capacity` kernel events (schedules, dispatches, drops, frame
-    /// alloc/reuse, scheduler rebuilds/cascades, application notes) in a
-    /// fixed ring, dumped on panic or via [`Simulator::dump_flight`].
+    /// alloc/reuse, application notes) in a fixed ring, dumped on panic
+    /// or via [`Simulator::dump_flight`].
     /// `0` disables. Replaces the ring, so call between runs.
     ///
     /// Recording is pure side-state — no randomness, no scheduling, no
@@ -220,13 +201,12 @@ impl Simulator {
     }
 
     /// Render the flight-recorder ring as a human-readable dump: a
-    /// header with the simulated time and scheduler, then the last N
-    /// records oldest-first. Deterministic for a given run prefix.
+    /// header with the simulated time, then the last N records
+    /// oldest-first. Deterministic for a given run prefix.
     pub fn dump_flight(&self) -> String {
         format!(
-            "tn-flight dump @ {} ps (scheduler {})\n{}",
+            "tn-flight dump @ {} ps\n{}",
             self.now.as_ps(),
-            self.sched_kind.name(),
             self.flight.render()
         )
     }
@@ -248,17 +228,10 @@ impl Simulator {
     }
 
     /// Snapshot the profiler into a [`KernelProfile`], folding in the
-    /// scheduler's structural counters and the arena's reuse statistics.
-    /// `None` unless [`Simulator::set_profile`] enabled collection.
+    /// arena's reuse statistics. `None` unless [`Simulator::set_profile`]
+    /// enabled collection.
     pub fn profile(&self) -> Option<KernelProfile> {
         let mut p = self.profiler.snapshot(self.now.as_ps())?;
-        p.scheduler = self.sched_kind.name().to_string();
-        let s = self.queue.stats();
-        p.sched_rebuilds = s.rebuilds;
-        p.sched_cascades = s.cascades;
-        p.sched_bucket_count = s.bucket_count;
-        p.sched_bucket_width_ps = s.bucket_width_ps;
-        p.wheel_occupancy = s.wheel_occupancy;
         let a = self.arena.stats();
         p.arena_allocated = a.allocated;
         p.arena_reused = a.reused;
@@ -439,21 +412,43 @@ impl Simulator {
     }
 
     /// Schedule delivery of `frame` to `(node, port)` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is earlier than [`Simulator::now`]: popping it would move
+    /// simulated time backwards.
     pub fn inject_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
+        self.assert_not_past(at);
         let seq = self.bump_seq();
         self.push_frame(at, seq, node, port, frame);
     }
 
     /// Schedule a timer callback on `node` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is earlier than [`Simulator::now`], as for
+    /// [`Simulator::inject_frame`].
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
+        self.assert_not_past(at);
         let seq = self.bump_seq();
         self.push_event(QueuedEvent {
             at,
             seq,
             kind: EventKind::Timer { node, token },
         });
+    }
+
+    /// Guard of the absolute-time entry points, on in release builds
+    /// too: a past event would pull `now` backwards and corrupt every
+    /// latency measured after it.
+    fn assert_not_past(&self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at {} ps < now {} ps",
+            at.as_ps(),
+            self.now.as_ps()
+        );
     }
 
     fn bump_seq(&mut self) -> u64 {
@@ -473,7 +468,7 @@ impl Simulator {
         });
     }
 
-    /// Single funnel for every scheduler insertion. The profiler and
+    /// Single funnel for every queue insertion. The profiler and
     /// flight recorder observe the stream here — pure side-state ahead
     /// of an unchanged `push`, so pop order cannot move.
     #[inline]
@@ -493,39 +488,6 @@ impl Simulator {
             });
         }
         self.queue.push(ev);
-        self.note_sched_activity();
-    }
-
-    /// With the flight recorder on, turn scheduler-counter deltas since
-    /// the last observation into records: calendar rebuilds and wheel
-    /// cascades happen inside the scheduler, which has no recorder
-    /// access, so the kernel watches the counters at its boundaries.
-    fn note_sched_activity(&mut self) {
-        if !self.flight.is_enabled() {
-            return;
-        }
-        let s = self.queue.stats();
-        if s.rebuilds > self.last_sched.rebuilds {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::CalendarRebuild,
-                node: u32::MAX,
-                shard: 0,
-                a: s.bucket_count,
-                b: s.bucket_width_ps,
-            });
-        }
-        if s.cascades > self.last_sched.cascades {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::WheelCascade,
-                node: u32::MAX,
-                shard: 0,
-                a: s.cascades,
-                b: self.queue.len() as u64,
-            });
-        }
-        self.last_sched = s;
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
@@ -536,10 +498,6 @@ impl Simulator {
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.stats.events_processed += 1;
-        // Pops (and the next_at probes between steps) are where the
-        // wheel cascades and the calendar may rebuild; catch up on the
-        // counter deltas before dispatching.
-        self.note_sched_activity();
         match ev.kind {
             EventKind::Frame { node, port, slot } => {
                 let frame = self.frames.unpark(slot);
@@ -580,10 +538,10 @@ impl Simulator {
         }
     }
 
-    /// Time of the next pending event, if any. Shard coordination probes
-    /// this to compute the global safe window.
-    pub(crate) fn peek_next_at(&mut self) -> Option<SimTime> {
-        self.queue.next_at()
+    /// Time of the next pending event, if any. The run loops stop on it,
+    /// and shard coordination probes it to compute the global safe window.
+    pub(crate) fn peek_next_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|ev| ev.at)
     }
 
     /// Window-mode run loop: process every pending event strictly before
@@ -591,7 +549,7 @@ impl Simulator {
     /// later events queued. Returns the number of events processed.
     pub(crate) fn run_window(&mut self, h_excl: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(at) = self.queue.next_at() {
+        while let Some(at) = self.peek_next_at() {
             if at >= h_excl {
                 break;
             }
@@ -626,7 +584,7 @@ impl Simulator {
     /// number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(at) = self.queue.next_at() {
+        while let Some(at) = self.peek_next_at() {
             if at > deadline {
                 break;
             }
@@ -1178,36 +1136,34 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_produce_identical_digests() {
-        fn digest(kind: SchedulerKind) -> (u64, u64) {
-            let mut sim = Simulator::with_scheduler(3, kind);
-            assert_eq!(sim.scheduler_kind(), kind);
-            let a = sim.add_node(
-                "a",
-                Repeater {
-                    seen: vec![],
-                    bounce: true,
-                },
-            );
-            let b = sim.add_node(
-                "b",
-                Repeater {
-                    seen: vec![],
-                    bounce: true,
-                },
-            );
-            let link = IdealLink::new(SimTime::from_ns(13));
-            sim.install_link(a, PortId(0), b, PortId(0), Box::new(link.clone()));
-            sim.install_link(b, PortId(0), a, PortId(0), Box::new(link));
-            let f = sim.frame().zeroed(100).build();
-            sim.inject_frame(SimTime::ZERO, a, PortId(0), f);
-            sim.run_until(SimTime::from_us(1));
-            (sim.trace.digest(), sim.trace.recorded())
-        }
-        let reference = digest(SchedulerKind::BinaryHeap);
-        for kind in SchedulerKind::ALL {
-            assert_eq!(reference, digest(kind), "{} diverged", kind.name());
-        }
+    #[should_panic(expected = "cannot schedule into the past: at 1000 ps < now 2000 ps")]
+    fn inject_frame_rejects_a_past_time() {
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node(
+            "n",
+            Repeater {
+                seen: vec![],
+                bounce: false,
+            },
+        );
+        sim.run_until(SimTime::from_ns(2));
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::from_ns(1), n, PortId(0), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: at 1000 ps < now 2000 ps")]
+    fn schedule_timer_rejects_a_past_time() {
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node(
+            "n",
+            Repeater {
+                seen: vec![],
+                bounce: false,
+            },
+        );
+        sim.run_until(SimTime::from_ns(2));
+        sim.schedule_timer(SimTime::from_ns(1), n, TimerToken(0));
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub use frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId, FrameMeta}
 pub use kernel::{AnyNode, SimStats, Simulator};
 pub use link::{DropReason, HopTiming, IdealLink, Link, LinkOutcome};
 pub use node::{Node, NodeId, PortId};
-pub use sched::{BinaryHeapScheduler, CalendarQueue, SchedStats, Scheduler, SchedulerKind};
 pub use shard::{ShardError, ShardPlan, ShardRunStats, ShardedSimulator};
 pub use time::SimTime;
 pub use trace::{fnv1a_fold, TraceEvent, TraceKind, TraceLog, EMPTY_DIGEST};

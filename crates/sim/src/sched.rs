@@ -1,34 +1,22 @@
-//! Pluggable event schedulers: the pending-event set behind the kernel.
+//! The kernel's pending-event set: a `BinaryHeap` of 32-byte keys.
 //!
 //! The kernel pops events in strict `(time, seq)` order — time first, then
 //! insertion sequence so equal-time events replay in schedule order. That
-//! total order *is* the determinism contract: any two [`Scheduler`]
-//! implementations must pop the exact same sequence for the exact same
-//! pushes, which `tests/scheduler_equivalence.rs` and the tn-audit
-//! divergence corpus pin bit-for-bit via trace digests.
+//! total order *is* the determinism contract, pinned bit-for-bit by trace
+//! digests in the tn-audit divergence corpus.
 //!
 //! A queued event is a 32-byte key, not a frame: [`EventKind::Frame`]
 //! carries a `slot` into the kernel-owned [`FrameSlab`], where the
-//! 64-byte [`Frame`] stays parked from push to dispatch. Every scheduler
-//! below therefore sifts, buckets and cascades 32-byte entries, timers
-//! and frames alike; a compile-time assert keeps
-//! `size_of::<QueuedEvent>() <= 32`.
+//! 64-byte [`Frame`] stays parked from push to dispatch. The heap
+//! therefore sifts 32-byte entries, timers and frames alike; a
+//! compile-time assert keeps `size_of::<QueuedEvent>() <= 32`.
 //!
-//! Three implementations ship:
-//!
-//! * [`BinaryHeapScheduler`] — the reference `O(log n)` min-heap. Default.
-//! * [`CalendarQueue`] — Brown's calendar queue (CACM '88), `O(1)`
-//!   amortized for the dense, near-future event horizons that link and
-//!   switch latencies produce. Selected per scenario via
-//!   [`SchedulerKind::CalendarQueue`].
-//! * [`TimingWheel`] — a hierarchical timing wheel (Varghese & Lauck,
-//!   SOSP '87): 64-slot levels at 6 bits per level, nanosecond ticks at
-//!   level 0. Near events pay an array index; far events park in coarse
-//!   upper levels and cascade down only when the cursor reaches them.
-//!   Selected via [`SchedulerKind::TimingWheel`].
+//! `std::collections::BinaryHeap` is a max-heap; [`QueuedEvent`]'s
+//! reversed `Ord` turns it into the `O(log n)` min-heap the kernel uses
+//! as its only event queue (DESIGN.md §8 has the measurements behind
+//! that choice).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 
 use crate::context::TimerToken;
 use crate::frame::Frame;
@@ -50,17 +38,13 @@ pub(crate) enum EventKind {
 
 /// One pending event. Ordered by `(at, seq)`; `seq` is the kernel's global
 /// insertion counter, so ordering is total and deterministic.
-///
-/// Public so [`Scheduler`] is nameable outside the crate, but fields and
-/// construction are kernel-internal.
-pub struct QueuedEvent {
+pub(crate) struct QueuedEvent {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
     pub(crate) kind: EventKind,
 }
 
-// Heap sifts, bucket inserts and wheel cascades move whole entries; the
-// frame itself stays in the slab.
+// Heap sifts move whole entries; the frame itself stays in the slab.
 const _: () = assert!(std::mem::size_of::<QueuedEvent>() <= 32);
 
 /// Frames whose delivery event is pending, indexed by the `slot` of
@@ -142,722 +126,10 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Structural statistics a scheduler exposes to the kernel profiler:
-/// plain counters, `Copy`, cheap enough to snapshot per event when the
-/// flight recorder is watching for rebuilds and cascades.
-///
-/// Implementations fill only the fields that apply to them (the heap has
-/// none); everything defaults to zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Calendar-queue bucket-array rebuilds since construction.
-    pub rebuilds: u64,
-    /// Timing-wheel upper-level cascades since construction.
-    pub cascades: u64,
-    /// Calendar-queue bucket count right now.
-    pub bucket_count: u64,
-    /// Calendar-queue bucket width right now, picoseconds.
-    pub bucket_width_ps: u64,
-    /// Timing-wheel occupied slots per level right now.
-    pub wheel_occupancy: [u64; WHEEL_LEVELS],
-}
-
-/// The pending-event set. Implementations must pop in ascending
-/// `(time, seq)` order — the same total order as the reference
-/// [`BinaryHeapScheduler`] — or trace digests diverge and the
-/// equivalence suite fails. `Send` is a supertrait so per-shard
-/// schedulers can live on per-shard threads.
-pub trait Scheduler: Send {
-    /// Insert an event.
-    fn push(&mut self, ev: QueuedEvent);
-    /// Remove and return the `(time, seq)`-minimal event.
-    fn pop(&mut self) -> Option<QueuedEvent>;
-    /// Timestamp of the event [`Scheduler::pop`] would return, without
-    /// removing it. Takes `&mut self` so implementations may cache the
-    /// search.
-    fn next_at(&mut self) -> Option<SimTime>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Short implementation name for diagnostics and bench output.
-    fn name(&self) -> &'static str;
-    /// Structural counters for the profiler. Pure observation: calling
-    /// this must not change future pop order.
-    fn stats(&self) -> SchedStats {
-        SchedStats::default()
-    }
-}
-
-/// Which [`Scheduler`] a simulator uses. Selectable per scenario via
-/// `ScenarioConfig::scheduler` in `tn-core`; the default stays the
-/// reference heap so existing runs are untouched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Reference `O(log n)` binary min-heap.
-    #[default]
-    BinaryHeap,
-    /// Brown's `O(1)`-amortized calendar queue.
-    CalendarQueue,
-    /// Hierarchical timing wheel (64-slot levels, nanosecond ticks).
-    TimingWheel,
-}
-
-impl SchedulerKind {
-    /// Every kind, for differential test sweeps.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::BinaryHeap,
-        SchedulerKind::CalendarQueue,
-        SchedulerKind::TimingWheel,
-    ];
-
-    /// Construct the scheduler this kind names.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::BinaryHeap => Box::new(BinaryHeapScheduler::new()),
-            SchedulerKind::CalendarQueue => Box::new(CalendarQueue::new()),
-            SchedulerKind::TimingWheel => Box::new(TimingWheel::new()),
-        }
-    }
-
-    /// Stable name, matching [`Scheduler::name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::BinaryHeap => "binary-heap",
-            SchedulerKind::CalendarQueue => "calendar-queue",
-            SchedulerKind::TimingWheel => "timing-wheel",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "binary-heap" | "heap" => Ok(SchedulerKind::BinaryHeap),
-            "calendar-queue" | "calendar" => Ok(SchedulerKind::CalendarQueue),
-            "timing-wheel" | "wheel" => Ok(SchedulerKind::TimingWheel),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected binary-heap, calendar-queue, or timing-wheel)"
-            )),
-        }
-    }
-}
-
-/// Reference scheduler: `std::collections::BinaryHeap` turned into a
-/// min-heap by [`QueuedEvent`]'s reversed `Ord`.
-#[derive(Default)]
-pub struct BinaryHeapScheduler {
-    heap: BinaryHeap<QueuedEvent>,
-}
-
-impl BinaryHeapScheduler {
-    /// An empty heap.
-    pub fn new() -> Self {
-        BinaryHeapScheduler::default()
-    }
-}
-
-impl Scheduler for BinaryHeapScheduler {
-    fn push(&mut self, ev: QueuedEvent) {
-        self.heap.push(ev);
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent> {
-        self.heap.pop()
-    }
-
-    fn next_at(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|ev| ev.at)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "binary-heap"
-    }
-}
-
-/// Smallest bucket count; the queue starts here and never shrinks below.
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket count; growth stops here regardless of population.
-const MAX_BUCKETS: usize = 1 << 16;
-/// Initial bucket-width shift (2^10 ps ≈ 1 ns) until the first resize
-/// measures the real inter-event gap. Widths are always powers of two so
-/// the day of a timestamp is a shift, not a division — `day_of` runs on
-/// every push, pop, and scan probe.
-const INITIAL_WIDTH_SHIFT: u32 = 10;
-
-/// Brown's calendar queue: a bucket ring indexed by `time / width`, like a
-/// desk calendar — one bucket per "day", one lap of the ring per "year".
-///
-/// Each bucket is kept sorted ascending by `(time, seq)`, so a bucket's
-/// front is its minimum and `pop` is a front removal. The scan from the
-/// current day therefore probes one front per bucket: the first bucket
-/// whose front belongs to the day being visited holds the global minimum
-/// (later "years" hash to the same bucket but sort behind the current
-/// day). If a whole year of days is empty the queue falls back to a
-/// direct minimum over bucket fronts, which also fast-forwards the
-/// calendar. Resizes re-derive the bucket width from the median non-zero
-/// gap between pending events — the mean is useless here because this
-/// kernel's workloads mix equal-time cohorts with millisecond dead zones.
-/// All decisions are pure functions of the queue contents, so the
-/// schedule stays deterministic.
-pub struct CalendarQueue {
-    /// `buckets.len()` is a power of two; `mask = len - 1`. Each bucket is
-    /// sorted ascending by `(time, seq)`.
-    buckets: Vec<VecDeque<QueuedEvent>>,
-    mask: usize,
-    /// Bucket width is `1 << shift` picoseconds. An event at `t` lives in
-    /// bucket `(t >> shift) & mask` — `t >> shift` is its absolute "day".
-    shift: u32,
-    /// Day of the most recent pop; scans resume here.
-    cursor: u64,
-    len: usize,
-    /// Bucket whose front is the global minimum, cached between
-    /// [`Scheduler::next_at`] and [`Scheduler::pop`].
-    cached_min: Option<usize>,
-    /// Searches since the last rebuild that fell off the calendar into
-    /// the direct-minimum fallback. A high count means the width no
-    /// longer matches the event horizon (it is only re-derived on
-    /// resize), so [`Scheduler::pop`] forces a re-derivation. Purely a
-    /// function of the push/pop history, so determinism is preserved.
-    fallbacks: u32,
-    /// Shift-based exponential average of the push horizon (how far
-    /// ahead of the cursor events land, in picoseconds). Cheap to keep
-    /// per push; drives the width auto-tune below.
-    horizon_ema_ps: u64,
-    /// Pushes since the width was last checked against the horizon.
-    pushes_since_tune: u32,
-    /// Rebuilds since construction, for [`SchedStats`].
-    rebuilds: u64,
-}
-
-/// Pushes between width auto-tune checks. Checking is cheap but a
-/// triggered rebuild is not, so it is rate-limited; amortized over this
-/// many pushes the tune costs nothing.
-const TUNE_INTERVAL: u32 = 4096;
-
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        CalendarQueue::new()
-    }
-}
-
-impl CalendarQueue {
-    /// An empty calendar with [`MIN_BUCKETS`] days of [`INITIAL_WIDTH_PS`].
-    pub fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            shift: INITIAL_WIDTH_SHIFT,
-            cursor: 0,
-            len: 0,
-            cached_min: None,
-            fallbacks: 0,
-            horizon_ema_ps: 0,
-            pushes_since_tune: 0,
-            rebuilds: 0,
-        }
-    }
-
-    /// Current bucket count (test / diagnostic visibility).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Current bucket width in picoseconds (test / diagnostic visibility).
-    pub fn bucket_width_ps(&self) -> u64 {
-        1u64 << self.shift
-    }
-
-    #[inline]
-    fn day_of(&self, at: SimTime) -> u64 {
-        at.as_ps() >> self.shift
-    }
-
-    /// Locate the bucket whose front is the `(time, seq)`-minimal event:
-    /// one lap of the calendar from the cursor peeking only at fronts,
-    /// then a direct minimum over fronts when the year ahead is empty.
-    fn find_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        for i in 0..self.buckets.len() as u64 {
-            let day = self.cursor.wrapping_add(i);
-            let b = (day as usize) & self.mask;
-            if let Some(front) = self.buckets[b].front() {
-                // The front is the bucket minimum; it belongs to `day`
-                // exactly when this bucket has anything this "year".
-                if self.day_of(front.at) == day {
-                    return Some(b);
-                }
-            }
-        }
-        self.fallbacks += 1;
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            if let Some(front) = bucket.front() {
-                let key = front.key();
-                if best.is_none_or(|(_, k)| key < k) {
-                    best = Some((b, key));
-                }
-            }
-        }
-        best.map(|(b, _)| b)
-    }
-
-    /// Re-bucket every event into `new_nb` buckets, re-deriving the width
-    /// as a power of two near the *smaller* of ≈3× the median non-zero
-    /// inter-event gap and ≈3× the mean gap (`span / len`). The median
-    /// keeps equal-time cohorts — which drag the mean to zero — from
-    /// collapsing the width; the mean keeps dense horizons (many live
-    /// timers in a short span) from over-filling each day, which would
-    /// turn the sorted-bucket inserts into large memmoves. Deterministic:
-    /// inputs are the queue contents only.
-    fn rebuild(&mut self, new_nb: usize) {
-        self.rebuild_with(new_nb, None);
-    }
-
-    /// [`CalendarQueue::rebuild`] with an optionally imposed width shift:
-    /// the horizon auto-tune passes the shift its EMA implies (the queue
-    /// may be near-empty at tune time, leaving nothing to re-derive
-    /// from); occupancy resizes pass `None` and re-derive from contents.
-    fn rebuild_with(&mut self, new_nb: usize, forced_shift: Option<u32>) {
-        self.rebuilds += 1;
-        let new_nb = new_nb.clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let cursor_ps = self.cursor << self.shift;
-        // audit:allow(hotpath-alloc): rebuild is an occupancy-triggered resize, amortized across many pushes
-        let mut evs: Vec<QueuedEvent> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            evs.extend(bucket.drain(..));
-        }
-        evs.sort_unstable_by_key(QueuedEvent::key);
-        if let Some(shift) = forced_shift {
-            self.shift = shift;
-        } else if evs.len() >= 2 {
-            let mut gaps: Vec<u64> = evs
-                .windows(2)
-                .map(|w| w[1].at.as_ps() - w[0].at.as_ps())
-                .filter(|&g| g > 0)
-                .collect();
-            if !gaps.is_empty() {
-                gaps.sort_unstable();
-                let median = gaps[gaps.len() / 2];
-                let span = evs[evs.len() - 1].at.as_ps() - evs[0].at.as_ps();
-                let mean = span / evs.len() as u64;
-                let target = median.min(mean.max(1)).saturating_mul(3).max(1);
-                self.shift = 63 - target.next_power_of_two().leading_zeros();
-            }
-        }
-        // Rescale the cursor to the (possibly new) width; the first
-        // pending event pins it exactly when there is one.
-        self.cursor = cursor_ps >> self.shift;
-        if let Some(first) = evs.first() {
-            self.cursor = self.day_of(first.at);
-        }
-        self.buckets = (0..new_nb).map(|_| VecDeque::new()).collect();
-        self.mask = new_nb - 1;
-        for ev in evs {
-            // Ascending feed: appending keeps every bucket sorted.
-            let b = (self.day_of(ev.at) as usize) & self.mask;
-            self.buckets[b].push_back(ev);
-        }
-        self.cached_min = None;
-        self.fallbacks = 0;
-    }
-}
-
-impl Scheduler for CalendarQueue {
-    fn push(&mut self, ev: QueuedEvent) {
-        // Width auto-tune: track how far ahead of the calendar events
-        // land (EMA over pushes, 1/16 gain) and, every TUNE_INTERVAL
-        // pushes, compare the width that horizon implies (≈3× the mean
-        // gap, matching `rebuild`'s derivation) against the current one.
-        // More than two octaves of drift forces a same-size rebuild,
-        // which re-derives the width from the live contents. Inputs are
-        // the push history only, so the schedule stays deterministic.
-        let horizon = ev.at.as_ps().saturating_sub(self.cursor << self.shift);
-        self.horizon_ema_ps = self.horizon_ema_ps - self.horizon_ema_ps / 16 + horizon / 16;
-        self.pushes_since_tune += 1;
-        if self.pushes_since_tune >= TUNE_INTERVAL {
-            self.pushes_since_tune = 0;
-            let target = (self.horizon_ema_ps / self.len.max(1) as u64)
-                .saturating_mul(3)
-                .max(1);
-            let ideal = 63 - target.next_power_of_two().leading_zeros();
-            if ideal.abs_diff(self.shift) > 2 {
-                self.rebuild_with(self.buckets.len(), Some(ideal));
-            }
-        }
-        if self.len + 1 > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-        let day = self.day_of(ev.at);
-        if day < self.cursor {
-            // The kernel never schedules into the past, but a standalone
-            // scheduler must still honor it: rewind so the scan sees it.
-            self.cursor = day;
-        }
-        let b = (day as usize) & self.mask;
-        let key = ev.key();
-        let bucket = &mut self.buckets[b];
-        // Binary search for the sorted slot. The common shapes are cheap:
-        // an equal-time cohort appends at the back, and VecDeque::insert
-        // rotates whichever side is shorter.
-        let (mut lo, mut hi) = (0usize, bucket.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if bucket[mid].key() < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        bucket.insert(lo, ev);
-        self.len += 1;
-        if let Some(cb) = self.cached_min {
-            // A key below the cached global minimum is the new minimum,
-            // and is therefore at the front of its own bucket.
-            // audit:allow(hotpath-unwrap): cached_min always points at a non-empty bucket; it is cleared when its bucket drains
-            if key < self.buckets[cb].front().expect("cached bucket empty").key() {
-                self.cached_min = Some(b);
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent> {
-        let b = match self.cached_min.take() {
-            Some(b) => b,
-            None => self.find_min()?,
-        };
-        let ev = self.buckets[b].pop_front()?;
-        self.len -= 1;
-        self.cursor = self.day_of(ev.at);
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.buckets.len() / 2);
-        } else if self.fallbacks >= 64 {
-            // The width has drifted away from the live horizon; same
-            // bucket count, fresh width.
-            self.rebuild(self.buckets.len());
-        }
-        Some(ev)
-    }
-
-    fn next_at(&mut self) -> Option<SimTime> {
-        if self.cached_min.is_none() {
-            self.cached_min = self.find_min();
-        }
-        self.cached_min
-            .and_then(|b| self.buckets[b].front())
-            .map(|ev| ev.at)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn name(&self) -> &'static str {
-        "calendar-queue"
-    }
-
-    fn stats(&self) -> SchedStats {
-        SchedStats {
-            rebuilds: self.rebuilds,
-            bucket_count: self.buckets.len() as u64,
-            bucket_width_ps: self.bucket_width_ps(),
-            ..SchedStats::default()
-        }
-    }
-}
-
-/// Slots per wheel level; `2^WHEEL_GROUP_BITS`.
-const WHEEL_SLOTS: usize = 64;
-/// Bits of the tick consumed per level.
-const WHEEL_GROUP_BITS: u32 = 6;
-/// Level-0 tick granularity: `2^10` ps ≈ 1 ns, matching the sub-ns link
-/// latencies the kernel schedules at. Coarser ticks would merge distinct
-/// deadlines into one slot; finer ones waste levels on empty space.
-const WHEEL_TICK_SHIFT: u32 = 10;
-/// Levels needed to cover the full 54 usable tick bits (`64 - 10`), six
-/// bits at a time: no slot index ever wraps, so upper-level positions
-/// are absolute and the cursor scan never revisits a lap.
-const WHEEL_LEVELS: usize = 9;
-
-/// Hierarchical timing wheel (Varghese & Lauck, SOSP '87).
-///
-/// Time is quantized into ~1 ns ticks. Level `L` slices bits
-/// `[6L, 6L+6)` of the tick: an event lives at the *highest* level where
-/// its tick still differs from the cursor's, so the 64 level-0 slots
-/// hold the next 64 ticks in exact order and each coarser level holds
-/// exponentially wider "someday" bands. Popping scans at most 64
-/// level-0 fronts; when the current 64-tick window drains, the nearest
-/// occupied upper slot *cascades* — its events are re-placed relative to
-/// the advanced cursor, landing one level (or more) lower. Each event
-/// cascades at most [`WHEEL_LEVELS`] times, so the amortized cost per
-/// event is O(levels) with no comparisons against unrelated events —
-/// the win over the heap's O(log n) on timer-churn workloads.
-///
-/// Level-0 slots are kept sorted by `(time, seq)` (events sharing a
-/// 1 ns tick); upper slots are append-only and sort implicitly by
-/// re-placement during the cascade. All decisions are pure functions of
-/// the push/pop history, so any run replays bit-identically.
-pub struct TimingWheel {
-    /// Slot `(L, s)` lives at `slots[L * 64 + s]`, one contiguous slab
-    /// for locality: level 0 sorted ascending by key, upper levels in
-    /// arrival order.
-    slots: Vec<VecDeque<QueuedEvent>>,
-    /// Occupancy bitmask per level (bit `s` set iff slot `(L, s)` holds
-    /// events): the min scan and the cascade search are single
-    /// `trailing_zeros` instructions instead of 64-slot walks.
-    occ: [u64; WHEEL_LEVELS],
-    /// Tick of the most recent pop (or of the earliest push since
-    /// empty): the wheel's notion of "now".
-    cursor: u64,
-    len: usize,
-    /// Level-0 slot holding the global minimum, cached between
-    /// [`Scheduler::next_at`] and [`Scheduler::pop`].
-    cached_min: Option<usize>,
-    /// Cascades since construction, for [`SchedStats`].
-    cascades: u64,
-}
-
-impl Default for TimingWheel {
-    fn default() -> Self {
-        TimingWheel::new()
-    }
-}
-
-impl TimingWheel {
-    /// An empty wheel with its cursor at tick zero.
-    pub fn new() -> Self {
-        TimingWheel {
-            slots: (0..WHEEL_LEVELS * WHEEL_SLOTS)
-                .map(|_| VecDeque::new())
-                .collect(),
-            occ: [0; WHEEL_LEVELS],
-            cursor: 0,
-            len: 0,
-            cached_min: None,
-            cascades: 0,
-        }
-    }
-
-    #[inline]
-    fn tick_of(at: SimTime) -> u64 {
-        at.as_ps() >> WHEEL_TICK_SHIFT
-    }
-
-    /// Highest 6-bit group where `tick` differs from the cursor — the
-    /// level the event belongs to *right now*.
-    #[inline]
-    fn level_of(&self, tick: u64) -> usize {
-        let diff = tick ^ self.cursor;
-        if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / WHEEL_GROUP_BITS) as usize
-        }
-    }
-
-    #[inline]
-    fn slot_of(tick: u64, level: usize) -> usize {
-        ((tick >> (WHEEL_GROUP_BITS * level as u32)) as usize) & (WHEEL_SLOTS - 1)
-    }
-
-    /// File `ev` at its level/slot relative to the current cursor.
-    fn place(&mut self, ev: QueuedEvent) {
-        let tick = Self::tick_of(ev.at);
-        debug_assert!(tick >= self.cursor, "place below cursor");
-        let level = self.level_of(tick);
-        let slot = Self::slot_of(tick, level);
-        self.occ[level] |= 1 << slot;
-        let bucket = &mut self.slots[(level << WHEEL_GROUP_BITS) | slot];
-        if level == 0 {
-            // A level-0 slot is a single tick; order the (rare) sub-tick
-            // ties by `(time, seq)`. Equal-time cohorts append.
-            let key = ev.key();
-            let (mut lo, mut hi) = (0usize, bucket.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if bucket[mid].key() < key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            bucket.insert(lo, ev);
-        } else {
-            // Upper slots sort lazily, at cascade time.
-            bucket.push_back(ev);
-        }
-    }
-
-    /// Move the cursor back to `tick` and re-place everything. The
-    /// kernel never schedules into the past, so this is a correctness
-    /// backstop for standalone users, not a hot path.
-    fn rewind(&mut self, tick: u64) {
-        // audit:allow(hotpath-alloc): rewind only fires on into-the-past pushes, which the kernel never issues
-        let mut evs: Vec<QueuedEvent> = Vec::with_capacity(self.len);
-        for slot in &mut self.slots {
-            evs.extend(slot.drain(..));
-        }
-        self.occ = [0; WHEEL_LEVELS];
-        self.cursor = tick;
-        for ev in evs {
-            self.place(ev);
-        }
-        self.cached_min = None;
-    }
-
-    /// Drain the nearest occupied upper slot into the levels below,
-    /// advancing the cursor to that slot's base tick. Returns false when
-    /// every upper level is empty. Lower levels are exhausted whenever
-    /// this runs, so draining the lowest, nearest occupied slot is
-    /// always the correct next window.
-    fn cascade(&mut self) -> bool {
-        for level in 1..WHEEL_LEVELS {
-            if self.occ[level] == 0 {
-                continue;
-            }
-            let shift = WHEEL_GROUP_BITS * level as u32;
-            let cur_idx = ((self.cursor >> shift) as usize) & (WHEEL_SLOTS - 1);
-            // Slot `cur_idx` is empty by construction (its events differ
-            // from the cursor at this level, so they'd be stored lower),
-            // and earlier slots would be in the past — every set bit is
-            // strictly after `cur_idx`, so the lowest one is the target.
-            debug_assert_eq!(
-                self.occ[level] & ((1u64 << cur_idx) | ((1u64 << cur_idx) - 1)),
-                0,
-                "occupied slot at or before the cursor"
-            );
-            let s = self.occ[level].trailing_zeros() as usize;
-            self.occ[level] &= !(1u64 << s);
-            self.cascades += 1;
-            // Take the deque out, re-place its events, hand the
-            // (now empty) buffer back: no allocation on the cascade.
-            let mut drained = std::mem::take(&mut self.slots[(level << WHEEL_GROUP_BITS) | s]);
-            // Jump the cursor to the slot's earliest tick rather than the
-            // slot's base: everything outside this slot is strictly
-            // later, and the earliest drained event then re-files
-            // directly into level 0 — one cascade per pop instead of one
-            // per level.
-            let min_tick = drained
-                .iter()
-                .map(|e| Self::tick_of(e.at))
-                .min()
-                // audit:allow(hotpath-unwrap): an occupancy bit is only set while its slot holds events
-                .expect("occupied slot was empty");
-            self.cursor = min_tick;
-            for ev in drained.drain(..) {
-                self.place(ev);
-            }
-            self.slots[(level << WHEEL_GROUP_BITS) | s] = drained;
-            return true;
-        }
-        false
-    }
-
-    /// Level-0 slot of the `(time, seq)`-minimal event, cascading upper
-    /// levels down as needed.
-    fn find_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Within the current 64-tick window, slot index == tick
-            // order, and every upper-level event is strictly later, so
-            // the first occupied slot holds the global minimum. Slots
-            // before the cursor are empty by invariant, so the lowest
-            // set bit is it.
-            if self.occ[0] != 0 {
-                return Some(self.occ[0].trailing_zeros() as usize);
-            }
-            if !self.cascade() {
-                debug_assert_eq!(self.len, 0, "events lost off the wheel");
-                return None;
-            }
-        }
-    }
-}
-
-impl Scheduler for TimingWheel {
-    fn push(&mut self, ev: QueuedEvent) {
-        let tick = Self::tick_of(ev.at);
-        if self.len == 0 {
-            // Empty wheel: snap the cursor to the event so long idle
-            // gaps don't leave it parked in the distant past.
-            self.cursor = tick;
-        } else if tick < self.cursor {
-            self.rewind(tick);
-        }
-        let key = ev.key();
-        self.place(ev);
-        self.len += 1;
-        if let Some(s) = self.cached_min {
-            // audit:allow(hotpath-unwrap): cached_min always points at a non-empty level-0 slot; it is cleared when that slot drains
-            if key < self.slots[s].front().expect("cached slot empty").key() {
-                self.cached_min = None;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent> {
-        let s = match self.cached_min.take() {
-            Some(s) => s,
-            None => self.find_min()?,
-        };
-        let ev = self.slots[s].pop_front()?;
-        self.len -= 1;
-        self.cursor = Self::tick_of(ev.at);
-        if self.slots[s].is_empty() {
-            self.occ[0] &= !(1u64 << s);
-        } else {
-            // Same tick, later seq: still the global minimum.
-            self.cached_min = Some(s);
-        }
-        Some(ev)
-    }
-
-    fn next_at(&mut self) -> Option<SimTime> {
-        if self.cached_min.is_none() {
-            self.cached_min = self.find_min();
-        }
-        self.cached_min
-            .and_then(|s| self.slots[s].front())
-            .map(|ev| ev.at)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn name(&self) -> &'static str {
-        "timing-wheel"
-    }
-
-    fn stats(&self) -> SchedStats {
-        let mut s = SchedStats {
-            cascades: self.cascades,
-            ..SchedStats::default()
-        };
-        for (level, occ) in self.occ.iter().enumerate() {
-            s.wheel_occupancy[level] = u64::from(occ.count_ones());
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
 
     fn timer(at: SimTime, seq: u64) -> QueuedEvent {
         QueuedEvent {
@@ -870,271 +142,45 @@ mod tests {
         }
     }
 
-    /// Feed the reference heap and every other scheduler the same pushes
-    /// (interleaved with pops) and assert identical pop sequences.
-    fn differential(pushes: &[(u64, usize)]) {
-        for kind in SchedulerKind::ALL {
-            if kind == SchedulerKind::BinaryHeap {
-                continue;
-            }
-            let mut heap: Box<dyn Scheduler> = SchedulerKind::BinaryHeap.build();
-            let mut other: Box<dyn Scheduler> = kind.build();
-            for (seq, &(at_ps, pops)) in pushes.iter().enumerate() {
-                let at = SimTime::from_ps(at_ps);
-                heap.push(timer(at, seq as u64));
-                other.push(timer(at, seq as u64));
-                for _ in 0..pops {
-                    assert_eq!(heap.next_at(), other.next_at(), "{}", kind.name());
-                    let (h, c) = (heap.pop(), other.pop());
-                    match (h, c) {
-                        (None, None) => {}
-                        (Some(h), Some(c)) => {
-                            assert_eq!((h.at, h.seq), (c.at, c.seq), "{}", kind.name());
-                        }
-                        _ => panic!("{} disagreed on emptiness", kind.name()),
-                    }
-                }
-            }
-            while let Some(h) = heap.pop() {
-                let c = other.pop().unwrap_or_else(|| {
-                    panic!("{} drained early", kind.name());
-                });
-                assert_eq!((h.at, h.seq), (c.at, c.seq), "{}", kind.name());
-            }
-            assert!(other.pop().is_none());
-            assert!(other.is_empty());
-        }
-    }
-
     #[test]
     fn pops_in_time_then_seq_order() {
-        for kind in SchedulerKind::ALL {
-            let mut s = kind.build();
-            s.push(timer(SimTime::from_ns(30), 0));
-            s.push(timer(SimTime::from_ns(10), 1));
-            s.push(timer(SimTime::from_ns(10), 2));
-            s.push(timer(SimTime::from_ns(20), 3));
-            let order: Vec<(u64, u64)> = std::iter::from_fn(|| s.pop())
-                .map(|e| (e.at.as_ps(), e.seq))
-                .collect();
-            assert_eq!(
-                order,
-                vec![(10_000, 1), (10_000, 2), (20_000, 3), (30_000, 0)],
-                "{} broke (time, seq) order",
-                kind.name()
-            );
-        }
+        let mut q = BinaryHeap::new();
+        q.push(timer(SimTime::from_ns(30), 0));
+        q.push(timer(SimTime::from_ns(10), 1));
+        q.push(timer(SimTime::from_ns(10), 2));
+        q.push(timer(SimTime::from_ns(20), 3));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at.as_ps(), e.seq))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(10_000, 1), (10_000, 2), (20_000, 3), (30_000, 0)],
+            "heap broke (time, seq) order"
+        );
     }
 
     #[test]
     fn equal_time_bursts_stay_in_schedule_order() {
-        for kind in SchedulerKind::ALL {
-            let mut s = kind.build();
-            for seq in 0..100 {
-                s.push(timer(SimTime::from_us(1), seq));
-            }
-            let seqs: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|e| e.seq).collect();
-            assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "{}", kind.name());
+        let mut q = BinaryHeap::new();
+        for seq in 0..100 {
+            q.push(timer(SimTime::from_us(1), seq));
         }
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_dense_near_future_events() {
-        // The workload shape the calendar is built for: tight horizon,
-        // lots of ties.
-        let mut rng = SmallRng::seed_from_u64(7);
-        let pushes: Vec<(u64, usize)> = (0..2_000u64)
-            .map(|i| {
-                (
-                    1_000 * (i / 4) + rng.gen_range(0..5_000u64),
-                    rng.gen_range(0..2),
-                )
-            })
-            .collect();
-        differential(&pushes);
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_sparse_far_future_events() {
-        // Sparse horizon: most laps are empty, exercising the direct-search
-        // fallback and width re-derivation on resize.
-        let mut rng = SmallRng::seed_from_u64(8);
-        let pushes: Vec<(u64, usize)> = (0..500)
-            .map(|_| (rng.gen_range(0..1_000_000_000_000u64), rng.gen_range(0..3)))
-            .collect();
-        differential(&pushes);
-    }
-
-    #[test]
-    fn calendar_matches_heap_through_grow_and_shrink() {
-        // Fill far past the grow threshold, then drain past the shrink
-        // threshold, twice.
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut pushes: Vec<(u64, usize)> = Vec::new();
-        for round in 0..2u64 {
-            let base = round * 10_000_000;
-            pushes.extend((0..300u64).map(|i| (base + i * 7 + rng.gen_range(0..50u64), 0)));
-            pushes.extend((0..290).map(|_| (base + 5_000_000, 2)));
-        }
-        differential(&pushes);
-    }
-
-    #[test]
-    fn calendar_resizes_and_reports_geometry() {
-        let mut cal = CalendarQueue::new();
-        assert_eq!(cal.bucket_count(), MIN_BUCKETS);
-        for seq in 0..200 {
-            cal.push(timer(SimTime::from_ns(seq * 13), seq));
-        }
-        assert!(cal.bucket_count() > MIN_BUCKETS, "queue never grew");
-        assert!(cal.bucket_width_ps() >= 1);
-        while cal.pop().is_some() {}
-        assert_eq!(cal.bucket_count(), MIN_BUCKETS, "queue never shrank back");
-        assert_eq!(cal.len(), 0);
-    }
-
-    #[test]
-    fn wheel_cascades_across_levels() {
-        // Deadlines spanning ns to tens of ms park events at several
-        // wheel levels; draining in order exercises every cascade path.
-        let mut wheel = TimingWheel::new();
-        let spans_ps = [
-            1_000u64,          // level 0: 1 ns
-            50_000,            // level 0 window edge: 50 ns
-            100_000,           // level 1: 100 ns
-            7_000_000,         // level 2: 7 us
-            300_000_000,       // level 3: 300 us
-            20_000_000_000,    // level 4: 20 ms
-            1_500_000_000_000, // level 6: 1.5 s
-        ];
-        let mut seq = 0u64;
-        for &base in &spans_ps {
-            for i in 0..8u64 {
-                wheel.push(timer(SimTime::from_ps(base + i * 977), seq));
-                seq += 1;
-            }
-        }
-        let mut last = (SimTime::ZERO, 0u64);
-        let mut popped = 0usize;
-        while let Some(ev) = wheel.pop() {
-            assert!(ev.key() >= last, "wheel popped out of order");
-            last = ev.key();
-            popped += 1;
-        }
-        assert_eq!(popped, spans_ps.len() * 8);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn wheel_rewinds_on_past_push() {
-        // The kernel never schedules into the past, but the wheel must
-        // still honor it standalone.
-        let mut wheel = TimingWheel::new();
-        wheel.push(timer(SimTime::from_us(10), 0));
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
-        wheel.push(timer(SimTime::from_us(9), 1)); // behind the cursor
-        wheel.push(timer(SimTime::from_us(11), 2));
-        assert_eq!(wheel.next_at(), Some(SimTime::from_us(9)));
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(1));
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
-    }
-
-    #[test]
-    fn calendar_width_autotune_follows_the_horizon() {
-        // Start the calendar on a nanosecond-scale horizon, then feed a
-        // millisecond-scale one: the EMA-triggered rebuild must widen
-        // the buckets without waiting for an occupancy resize.
-        let mut cal = CalendarQueue::new();
-        let mut seq = 0u64;
-        for i in 0..64u64 {
-            cal.push(timer(SimTime::from_ns(i), seq));
-            seq += 1;
-        }
-        for _ in 0..64 {
-            cal.pop();
-        }
-        let narrow = cal.bucket_width_ps();
-        for i in 0..2 * TUNE_INTERVAL as u64 {
-            cal.push(timer(SimTime::from_us(10 + i * 500), seq));
-            seq += 1;
-            if !seq.is_multiple_of(3) {
-                cal.pop();
-            }
-        }
-        assert!(
-            cal.bucket_width_ps() > narrow,
-            "width never widened: {} -> {}",
-            narrow,
-            cal.bucket_width_ps()
-        );
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn next_at_matches_pop_without_consuming() {
-        for kind in SchedulerKind::ALL {
-            let mut s = kind.build();
-            assert_eq!(s.next_at(), None);
-            s.push(timer(SimTime::from_ns(40), 0));
-            s.push(timer(SimTime::from_ns(15), 1));
-            assert_eq!(s.next_at(), Some(SimTime::from_ns(15)));
-            assert_eq!(s.len(), 2);
-            // A smaller push must displace the cached minimum.
-            s.push(timer(SimTime::from_ns(5), 2));
-            assert_eq!(s.next_at(), Some(SimTime::from_ns(5)));
-            assert_eq!(s.pop().map(|e| e.seq), Some(2));
-        }
-    }
-
-    #[test]
-    fn stats_report_rebuilds_cascades_and_occupancy() {
-        // The reference heap has no structure to report.
-        let mut heap = BinaryHeapScheduler::new();
-        heap.push(timer(SimTime::from_ns(1), 0));
-        assert_eq!(heap.stats(), SchedStats::default());
-
-        // Growing the calendar far enough forces at least one rebuild.
-        let mut cal = CalendarQueue::new();
-        assert_eq!(cal.stats().rebuilds, 0);
-        for seq in 0..200 {
-            cal.push(timer(SimTime::from_ns(seq * 13), seq));
-        }
-        let cs = cal.stats();
-        assert!(cs.rebuilds > 0, "grow never rebuilt");
-        assert_eq!(cs.bucket_count, cal.bucket_count() as u64);
-        assert_eq!(cs.bucket_width_ps, cal.bucket_width_ps());
-        assert_eq!(cs.cascades, 0);
-
-        // Far-future events park in upper wheel levels, then cascade
-        // down when drained.
-        let mut wheel = TimingWheel::new();
-        wheel.push(timer(SimTime::from_ps(1_000), 0));
-        wheel.push(timer(SimTime::from_us(7), 1));
-        wheel.push(timer(SimTime::from_ms(20), 2));
-        let ws = wheel.stats();
-        assert_eq!(ws.cascades, 0);
-        assert_eq!(ws.wheel_occupancy.iter().sum::<u64>(), 3);
-        assert!(
-            ws.wheel_occupancy[1..].iter().sum::<u64>() >= 2,
-            "far events should park above level 0: {:?}",
-            ws.wheel_occupancy
-        );
-        while wheel.pop().is_some() {}
-        assert!(wheel.stats().cascades > 0, "drain never cascaded");
-        assert_eq!(wheel.stats().wheel_occupancy, [0; WHEEL_LEVELS]);
-    }
-
-    #[test]
-    fn kind_parses_and_names_round_trip() {
-        for kind in SchedulerKind::ALL {
-            let parsed: SchedulerKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind);
-            assert_eq!(kind.build().name(), kind.name());
-        }
-        assert_eq!(
-            "heap".parse::<SchedulerKind>(),
-            Ok(SchedulerKind::BinaryHeap)
-        );
-        assert!("fifo".parse::<SchedulerKind>().is_err());
-        assert_eq!(SchedulerKind::default(), SchedulerKind::BinaryHeap);
+        let next_at = |q: &BinaryHeap<QueuedEvent>| q.peek().map(|e| e.at);
+        let mut q = BinaryHeap::new();
+        assert_eq!(next_at(&q), None);
+        q.push(timer(SimTime::from_ns(40), 0));
+        q.push(timer(SimTime::from_ns(15), 1));
+        assert_eq!(next_at(&q), Some(SimTime::from_ns(15)));
+        assert_eq!(q.len(), 2);
+        // A smaller push must displace the minimum.
+        q.push(timer(SimTime::from_ns(5), 2));
+        assert_eq!(next_at(&q), Some(SimTime::from_ns(5)));
+        assert_eq!(q.pop().map(|e| e.seq), Some(2));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardedSimulator`] partitions a built [`Simulator`] into K shards,
 //! each owning a disjoint subset of the nodes (and every link whose
-//! *source* it owns) with its own [`crate::Scheduler`] instance, and runs
+//! *source* it owns) with its own event queue, and runs
 //! them window-by-window under a conservative-lookahead protocol:
 //!
 //! 1. **Safe window.** Each round the leader computes one global horizon
@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use crate::frame::{Frame, FrameId};
 use crate::kernel::{SimStats, Simulator};
 use crate::node::{NodeId, PortId};
-use crate::sched::{EventKind, SchedulerKind};
+use crate::sched::EventKind;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
 use tn_obs::{FlightRecorder, KernelProfiler};
@@ -342,7 +342,6 @@ pub struct ShardedSimulator {
     /// reassembly.
     profiler_base: KernelProfiler,
     metrics: tn_obs::Metrics,
-    sched_kind: SchedulerKind,
     provenance: bool,
     stats_base: SimStats,
     now: SimTime,
@@ -354,9 +353,6 @@ pub struct ShardedSimulator {
     parallel_threshold: usize,
     windows: u64,
     cross_shard_frames: u64,
-    /// Scratch buffer for the post-merge rekey pass (reused every
-    /// window to keep the leader loop allocation-free).
-    rekey_buf: Vec<crate::sched::QueuedEvent>,
 }
 
 impl ShardedSimulator {
@@ -396,7 +392,7 @@ impl ShardedSimulator {
                 // The shard seed is arbitrary: validation guarantees no
                 // link consumes the kernel coin, and no workspace node
                 // draws from the dispatch RNG, so the stream is dead.
-                let mut sh = Simulator::with_scheduler(0x5eed ^ s as u64, sim.sched_kind);
+                let mut sh = Simulator::new(0x5eed ^ s as u64);
                 sh.now = sim.now;
                 sh.seq = prov_base(s);
                 sh.next_frame_id = prov_base(s);
@@ -458,7 +454,6 @@ impl ShardedSimulator {
             flight_base: std::mem::replace(&mut sim.flight, FlightRecorder::disabled()),
             profiler_base: std::mem::replace(&mut sim.profiler, KernelProfiler::disabled()),
             metrics: sim.metrics.clone(),
-            sched_kind: sim.sched_kind,
             provenance: sim.provenance,
             stats_base: sim.stats,
             now: sim.now,
@@ -467,7 +462,6 @@ impl ShardedSimulator {
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             windows: 0,
             cross_shard_frames: 0,
-            rekey_buf: Vec::new(),
             shards,
         })
     }
@@ -718,23 +712,21 @@ impl ShardedSimulator {
         }
         // Rekey pass: rewrite every pending provisional seq to the real
         // seq the merge just assigned. A provisional key compares as
-        // "newest possible" inside the shard's scheduler, which breaks
+        // "newest possible" inside the shard's queue, which breaks
         // same-timestamp ties the moment a cross-shard arrival (small
         // real seq) lands next to an older local push (huge provisional
         // seq) — the external event would jump the queue. After the
-        // merge every pending push has its real seq in `seq_map`, so the
-        // drain-translate-reinsert leaves each shard ordering ties in
-        // exact serial push order. Single-shard runs have no external
-        // arrivals and skip the pass.
+        // merge every pending push has its real seq in `seq_map`, so
+        // translating in place and re-heapifying leaves each shard
+        // ordering ties in exact serial push order. Single-shard runs
+        // have no external arrivals and skip the pass.
         if k > 1 {
             for (s, sh) in self.shards.iter_mut().enumerate() {
-                while let Some(mut ev) = sh.queue.pop() {
+                let mut pending = std::mem::take(&mut sh.queue).into_vec();
+                for ev in &mut pending {
                     ev.seq = Self::translate(&self.seq_map[s], ev.seq);
-                    self.rekey_buf.push(ev);
                 }
-                for ev in self.rekey_buf.drain(..) {
-                    sh.queue.push(ev);
-                }
+                sh.queue = pending.into();
             }
         }
     }
@@ -745,7 +737,7 @@ impl ShardedSimulator {
     /// to the serial path.
     pub fn finish(mut self) -> Simulator {
         let k = self.shards.len();
-        let mut sim = Simulator::with_scheduler(0, self.sched_kind);
+        let mut sim = Simulator::new(0);
         sim.now = self.now;
         sim.seq = self.seq;
         sim.next_frame_id = self.next_frame_id;
@@ -814,7 +806,6 @@ mod tests {
     use crate::context::{Context, TimerToken};
     use crate::link::{IdealLink, Link, LinkOutcome};
     use crate::node::Node;
-    use crate::sched::SchedulerKind;
 
     /// Bounces frames back out the arrival port for a while.
     struct Bouncer {
@@ -857,8 +848,8 @@ mod tests {
     }
 
     /// Four nodes in a line, mixed delays, cross traffic and timers.
-    fn build_line(kind: SchedulerKind) -> Simulator {
-        let mut sim = Simulator::with_scheduler(11, kind);
+    fn build_line() -> Simulator {
+        let mut sim = Simulator::new(11);
         let a = sim.add_node(
             "a",
             Ticker {
@@ -888,38 +879,36 @@ mod tests {
         sim
     }
 
-    fn serial_signature(kind: SchedulerKind, deadline: SimTime) -> (u64, u64, SimStats) {
-        let mut sim = build_line(kind);
+    fn serial_signature(deadline: SimTime) -> (u64, u64, SimStats) {
+        let mut sim = build_line();
         sim.run_until(deadline);
         (sim.trace.digest(), sim.trace.recorded(), sim.stats())
     }
 
     #[test]
-    fn sharded_line_matches_serial_for_every_count_and_scheduler() {
+    fn sharded_line_matches_serial_for_every_count() {
         let deadline = SimTime::from_us(20);
-        for kind in SchedulerKind::ALL {
-            let want = serial_signature(kind, deadline);
-            for k in 1..=4u16 {
-                let sim = build_line(kind);
-                let plan = ShardPlan::auto(&sim, k);
-                let mut sharded = ShardedSimulator::split(sim, &plan).expect("plan is valid");
-                sharded.run_until(deadline);
-                let merged = sharded.finish();
-                let got = (
-                    merged.trace.digest(),
-                    merged.trace.recorded(),
-                    merged.stats(),
-                );
-                assert_eq!(got, want, "k={k} kind={}", kind.name());
-            }
+        let want = serial_signature(deadline);
+        for k in 1..=4u16 {
+            let sim = build_line();
+            let plan = ShardPlan::auto(&sim, k);
+            let mut sharded = ShardedSimulator::split(sim, &plan).expect("plan is valid");
+            sharded.run_until(deadline);
+            let merged = sharded.finish();
+            let got = (
+                merged.trace.digest(),
+                merged.trace.recorded(),
+                merged.stats(),
+            );
+            assert_eq!(got, want, "k={k}");
         }
     }
 
     #[test]
     fn manual_plan_round_trips_and_counts_cross_shard_traffic() {
         let deadline = SimTime::from_us(20);
-        let want = serial_signature(SchedulerKind::BinaryHeap, deadline);
-        let sim = build_line(SchedulerKind::BinaryHeap);
+        let want = serial_signature(deadline);
+        let sim = build_line();
         // Interleaved assignment: the busy a<->b and c<->d links are cut.
         let plan = ShardPlan::manual(vec![0, 1, 0, 1]);
         plan.validate(&sim).expect("every cut has 5ns lookahead");
@@ -1165,8 +1154,8 @@ mod tests {
 
     /// Four relays in a line (short, long, short links) with frames
     /// already queued, so the split finds them in the parent's slab.
-    fn build_relays(kind: SchedulerKind) -> Simulator {
-        let mut sim = Simulator::with_scheduler(5, kind);
+    fn build_relays() -> Simulator {
+        let mut sim = Simulator::new(5);
         sim.trace.set_enabled(true);
         let ids: Vec<NodeId> = (0..4)
             .map(|i| sim.add_node(format!("r{i}"), Relay { ticks_left: 60 }))
@@ -1193,35 +1182,32 @@ mod tests {
         // at reassembly, must leave every traced delivery (node, port,
         // frame id, time) exactly serial, before and after reassembly.
         let (mid, end) = (SimTime::from_ns(2_500), SimTime::from_us(20));
-        for kind in SchedulerKind::ALL {
-            let mut serial = build_relays(kind);
-            serial.run_until(mid);
-            serial.run_until(end);
-            for assignment in [vec![0, 0, 1, 1], vec![0, 1, 0, 1]] {
-                let plan = ShardPlan::manual(assignment.clone());
-                let mut sharded =
-                    ShardedSimulator::split(build_relays(kind), &plan).expect("valid");
-                sharded.run_until(mid);
-                let mut merged = sharded.finish();
-                // At most one pending timer per ticking relay: the rest
-                // are frame events.
-                assert!(
-                    merged.pending_events() > 2,
-                    "frames must still be in flight at reassembly"
-                );
-                merged.run_until(end);
-                let what = format!("kind={} plan={assignment:?}", kind.name());
-                assert_eq!(merged.trace.events(), serial.trace.events(), "{what}");
-                assert_eq!(merged.trace.digest(), serial.trace.digest(), "{what}");
-            }
+        let mut serial = build_relays();
+        serial.run_until(mid);
+        serial.run_until(end);
+        for assignment in [vec![0, 0, 1, 1], vec![0, 1, 0, 1]] {
+            let plan = ShardPlan::manual(assignment.clone());
+            let mut sharded = ShardedSimulator::split(build_relays(), &plan).expect("valid");
+            sharded.run_until(mid);
+            let mut merged = sharded.finish();
+            // At most one pending timer per ticking relay: the rest
+            // are frame events.
+            assert!(
+                merged.pending_events() > 2,
+                "frames must still be in flight at reassembly"
+            );
+            merged.run_until(end);
+            let what = format!("plan={assignment:?}");
+            assert_eq!(merged.trace.events(), serial.trace.events(), "{what}");
+            assert_eq!(merged.trace.digest(), serial.trace.digest(), "{what}");
         }
     }
 
     #[test]
     fn forced_threading_matches_inline_execution() {
         let deadline = SimTime::from_us(20);
-        let want = serial_signature(SchedulerKind::BinaryHeap, deadline);
-        let sim = build_line(SchedulerKind::BinaryHeap);
+        let want = serial_signature(deadline);
+        let sim = build_line();
         let plan = ShardPlan::manual(vec![0, 0, 1, 1]);
         let mut sharded = ShardedSimulator::split(sim, &plan).expect("valid");
         sharded.set_parallel_threshold(0); // every window on real threads

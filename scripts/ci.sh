@@ -52,14 +52,15 @@ cargo run --release --offline -q -p tn-obs -- summarize --folded "$trace_out" \
     > target/e21-folded-2.txt
 cmp target/e21-folded-1.txt target/e21-folded-2.txt
 rm -f "$trace_out" "$flight_out" target/e21-folded-1.txt target/e21-folded-2.txt
-# Scheduler equivalence: a reduced-case differential sweep (the full
-# 64-case sweep runs with the workspace tests above).
-echo "==> scheduler_equivalence (reduced proptest sweep)"
-PROPTEST_CASES=8 cargo test -q --offline --test scheduler_equivalence
+# Fan-out properties: a reduced-case sweep of rerun identity, telemetry
+# neutrality and lossless delivery (the full 64-case sweep runs with the
+# workspace tests above).
+echo "==> fanout_properties (reduced proptest sweep)"
+PROPTEST_CASES=8 cargo test -q --offline --test fanout_properties
 # Shard equivalence: sharded execution must reproduce the serial kernel
 # bit-for-bit — a reduced random-topology sweep here, plus the registry
 # scenarios pinning the golden quickstart digest through the sharded
-# path for every shard count 1..=8 under all three schedulers.
+# path for every shard count 1..=8.
 echo "==> shard_equivalence (reduced proptest sweep)"
 PROPTEST_CASES=8 cargo test -q --offline --test shard_equivalence
 run cargo run --release --offline -q -p tn-audit -- divergence --filter shard
@@ -69,46 +70,17 @@ run cargo run --release --offline -q -p tn-audit -- divergence --filter shard
 run cargo run --release --offline -q -p tn-bench --bin bench_shard -- --smoke
 head -1 BENCH_shard.json | grep -q '"schema":"tn-bench/v1"'
 echo "==> BENCH_shard.json: tn-bench/v1 ok"
-# BENCH smoke + regression gate: all three schedulers on the small
-# scales, digests asserted equal inside the harness, and the artifact
-# parses as tn-bench/v1. The committed full-run summary is captured
-# BEFORE the smoke run overwrites the artifact; the gate then requires
-# (a) the smoke geomean within tolerance of the committed one — smoke is
-# one rep at the smallest scales, so the bar catches a scheduler
-# collapsing, not single-digit drift — and (b) the scheduler-bound
-# timer-churn row still beating the reference heap. The committed
-# artifact is restored afterwards so CI leaves the tree clean.
-committed_bench=target/ci-bench-committed.json
-cp BENCH_kernel.json "$committed_bench"
-committed_geo=$(sed -n 's/.*"geomean_speedup":\([0-9.]*\).*/\1/p' "$committed_bench")
-run cargo run --release --offline -q -p tn-bench --bin bench_kernel -- --smoke
-head -1 BENCH_kernel.json | grep -q '"schema":"tn-bench/v1"'
-echo "==> BENCH_kernel.json: tn-bench/v1 ok"
-smoke_geo=$(sed -n 's/.*"geomean_speedup":\([0-9.]*\).*/\1/p' BENCH_kernel.json)
-churn_wheel=$(grep -o '"speedup_wheel":[0-9.]*' BENCH_kernel.json | tail -1 | cut -d: -f2)
-mv "$committed_bench" BENCH_kernel.json
-awk -v s="$smoke_geo" -v c="$committed_geo" -v w="$churn_wheel" 'BEGIN {
-    if (s + 0 < c - 0.25) {
-        printf "bench gate FAIL: smoke geomean %.4f below committed %.4f - 0.25\n", s, c
-        exit 1
-    }
-    if (w + 0 < 1.0) {
-        printf "bench gate FAIL: timer-churn wheel speedup %.4f < 1.0\n", w
-        exit 1
-    }
-    printf "==> bench gate: smoke geomean %.4f (committed %.4f), churn wheel %.2fx\n", s, c, w
-}'
 # Suppression-creep gate for the zero-alloc hot path: the retired
-# hotpath-alloc suppressions must stay retired. 19 remain by design
-# (cold paths: scheduler rebuilds and rewinds, session setup, telemetry
-# buffers); anything above that means an alloc crept back onto the hot
-# path and was re-suppressed instead of fixed.
+# hotpath-alloc suppressions must stay retired. 17 remain by design
+# (cold paths: session setup, telemetry buffers); anything above that
+# means an alloc crept back onto the hot path and was re-suppressed
+# instead of fixed.
 alloc_suppressions=$(grep -o '"lint":"hotpath-alloc"' AUDIT_BASELINE.json | wc -l)
-if [ "$alloc_suppressions" -gt 19 ]; then
-    echo "audit gate FAIL: $alloc_suppressions hotpath-alloc suppressions in baseline (ceiling 19)"
+if [ "$alloc_suppressions" -gt 17 ]; then
+    echo "audit gate FAIL: $alloc_suppressions hotpath-alloc suppressions in baseline (ceiling 17)"
     exit 1
 fi
-echo "==> audit gate: $alloc_suppressions hotpath-alloc suppressions (ceiling 19)"
+echo "==> audit gate: $alloc_suppressions hotpath-alloc suppressions (ceiling 17)"
 # Cloud fairness determinism: the zero-knob spec must be bit-transparent,
 # the enabled mechanism set must dual-run, and the frontier point must
 # reproduce the digest committed in BENCH_cloud.json (all asserted inside

@@ -1,7 +1,6 @@
 //! Property tests for the tn-cloud fairness mechanisms: with every
 //! stochastic knob zeroed the machinery must be *exactly* fair and
-//! *exactly* transparent, over random overlay shapes and under every
-//! scheduler.
+//! *exactly* transparent, over random overlay shapes.
 //!
 //! * Equalizer: zero hop jitter + zero residual + a covering ceiling ⇒
 //!   every subscriber sees each event at the identical instant — the
@@ -9,9 +8,6 @@
 //! * Sequencer: perfect clock sync (ε = 0) ⇒ release order equals
 //!   arrival order, each release exactly `hold` after its arrival, with
 //!   zero reordered releases.
-//!
-//! Both properties double as scheduler-equivalence checks: the three
-//! event schedulers must agree on the trace digest for every drawn case.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +18,7 @@ use trading_networks::cloud::{
     OverlayTree, OverlayTreeConfig, SequencerConfig,
 };
 use trading_networks::sim::{
-    Context, Frame, IdealLink, Node, PortId, SchedulerKind, SimTime, Simulator, TimerToken,
+    Context, Frame, IdealLink, Node, PortId, SimTime, Simulator, TimerToken,
 };
 
 const EMIT: TimerToken = TimerToken(7);
@@ -98,10 +94,10 @@ fn arb_overlay() -> impl Strategy<Value = OverlayCase> {
         )
 }
 
-/// Build + run the overlay → equalizer-gate pipeline for one scheduler;
-/// returns `(digest, per-sink deliveries)`.
-fn run_overlay(case: &OverlayCase, kind: SchedulerKind) -> (u64, Vec<Vec<(u64, u64)>>) {
-    let mut sim = Simulator::with_scheduler(case.seed, kind);
+/// Build + run the overlay → equalizer-gate pipeline; returns the
+/// per-sink deliveries.
+fn run_overlay(case: &OverlayCase) -> Vec<Vec<(u64, u64)>> {
+    let mut sim = Simulator::new(case.seed);
     let src = sim.add_node(
         "src",
         Source {
@@ -159,11 +155,10 @@ fn run_overlay(case: &OverlayCase, kind: SchedulerKind) -> (u64, Vec<Vec<(u64, u
     }
     sim.schedule_timer(SimTime::from_ns(10), src, EMIT);
     sim.run();
-    let deliveries = sinks
+    sinks
         .iter()
         .map(|&s| sim.node::<Sink>(s).expect("sink").seen.clone())
-        .collect();
-    (sim.trace.digest(), deliveries)
+        .collect()
 }
 
 /// One drawn sequencer workload: sorted arrival instants and a hold.
@@ -190,10 +185,10 @@ fn arb_sequencer() -> impl Strategy<Value = SequencerCase> {
         })
 }
 
-/// Run one sequencer workload under `kind`; returns
-/// `(digest, sink tags, sink arrival ps, reordered)`.
-fn run_sequencer(case: &SequencerCase, kind: SchedulerKind) -> (u64, Vec<u64>, Vec<u64>, u64) {
-    let mut sim = Simulator::with_scheduler(case.seed, kind);
+/// Run one sequencer workload; returns
+/// `(sink tags, sink arrival ps, reordered)`.
+fn run_sequencer(case: &SequencerCase) -> (Vec<u64>, Vec<u64>, u64) {
+    let mut sim = Simulator::new(case.seed);
     let seqr = sim.add_node(
         "seq",
         HoldReleaseSequencer::new(SequencerConfig {
@@ -222,47 +217,37 @@ fn run_sequencer(case: &SequencerCase, kind: SchedulerKind) -> (u64, Vec<u64>, V
         .reordered;
     let snk = sim.node::<Sink>(sink).expect("sink");
     let ats = snk.seen.iter().map(|&(_, at)| at).collect();
-    (sim.trace.digest(), snk.tags.clone(), ats, reordered)
+    (snk.tags.clone(), ats, reordered)
 }
 
 proptest! {
     /// Zero jitter + zero residual + covering ceiling ⇒ the delivery
-    /// spread of every event across every subscriber is exactly zero,
-    /// under all three schedulers, which also must agree on the digest.
+    /// spread of every event across every subscriber is exactly zero.
     #[test]
     fn zero_jitter_equalizer_has_exactly_zero_spread(case in arb_overlay()) {
-        let mut digests = Vec::new();
-        for kind in SchedulerKind::ALL {
-            let (digest, deliveries) = run_overlay(&case, kind);
-            digests.push(digest);
-            // Every subscriber saw every event exactly once…
-            for per_sink in &deliveries {
-                prop_assert_eq!(per_sink.len(), case.events as usize,
-                    "{}: wrong delivery count", kind.name());
-            }
-            // …and for each event (grouped by frame id, preserved across
-            // relay clones) all release instants are identical.
-            let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for per_sink in &deliveries {
-                for &(id, at) in per_sink {
-                    groups.entry(id).or_default().push(at);
-                }
-            }
-            prop_assert_eq!(groups.len(), case.events as usize);
-            for (id, ats) in groups {
-                let spread = ats.iter().max().unwrap() - ats.iter().min().unwrap();
-                prop_assert_eq!(spread, 0,
-                    "{}: event {} spread {} ps across {:?}",
-                    kind.name(), id, spread, ats);
+        let deliveries = run_overlay(&case);
+        // Every subscriber saw every event exactly once…
+        for per_sink in &deliveries {
+            prop_assert_eq!(per_sink.len(), case.events as usize, "wrong delivery count");
+        }
+        // …and for each event (grouped by frame id, preserved across
+        // relay clones) all release instants are identical.
+        let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for per_sink in &deliveries {
+            for &(id, at) in per_sink {
+                groups.entry(id).or_default().push(at);
             }
         }
-        prop_assert!(digests.windows(2).all(|w| w[0] == w[1]),
-            "schedulers disagree: {digests:x?}");
+        prop_assert_eq!(groups.len(), case.events as usize);
+        for (id, ats) in groups {
+            let spread = ats.iter().max().unwrap() - ats.iter().min().unwrap();
+            prop_assert_eq!(spread, 0, "event {} spread {} ps across {:?}", id, spread, ats);
+        }
     }
 
     /// Perfect clock sync ⇒ release order equals arrival order exactly,
     /// each release exactly `hold` after its arrival, zero reordered —
-    /// for any hold, any arrival pattern, all three schedulers.
+    /// for any hold, any arrival pattern.
     #[test]
     fn perfect_clocks_release_in_arrival_order(case in arb_sequencer()) {
         let want_tags: Vec<u64> = (0..case.arrivals_ns.len() as u64).collect();
@@ -271,15 +256,9 @@ proptest! {
             .iter()
             .map(|&ns| SimTime::from_ns(ns + case.hold_ns).as_ps())
             .collect();
-        let mut digests = Vec::new();
-        for kind in SchedulerKind::ALL {
-            let (digest, tags, ats, reordered) = run_sequencer(&case, kind);
-            digests.push(digest);
-            prop_assert_eq!(&tags, &want_tags, "{}: release order", kind.name());
-            prop_assert_eq!(&ats, &want_ats, "{}: release times", kind.name());
-            prop_assert_eq!(reordered, 0, "{}: spurious reorder count", kind.name());
-        }
-        prop_assert!(digests.windows(2).all(|w| w[0] == w[1]),
-            "schedulers disagree: {digests:x?}");
+        let (tags, ats, reordered) = run_sequencer(&case);
+        prop_assert_eq!(&tags, &want_tags, "release order");
+        prop_assert_eq!(&ats, &want_ats, "release times");
+        prop_assert_eq!(reordered, 0, "spurious reorder count");
     }
 }

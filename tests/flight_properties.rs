@@ -1,5 +1,5 @@
 //! Property tests for the flight recorder and kernel self-profiler: over
-//! random scenario configurations — seeds, schedulers, workload rates,
+//! random scenario configurations — seeds, workload rates,
 //! optional feed faults — a run with the flight recorder and profiler
 //! fully on must produce a bit-identical trace digest to the same run
 //! with them off, and the recorder's ring must never hold more records
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use trading_networks::core::{ScenarioConfig, TradingNetworkDesign, TraditionalSwitches};
 use trading_networks::fault::FaultSpec;
 use trading_networks::sim::{
-    Context, FlightKind, FlightRecord, FlightRecorder, Frame, IdealLink, Node, PortId,
-    SchedulerKind, SimTime, Simulator, TimerToken,
+    Context, FlightKind, FlightRecord, FlightRecorder, Frame, IdealLink, Node, PortId, SimTime,
+    Simulator, TimerToken,
 };
 
 /// One randomized scenario drawing: workload knobs that materially move
@@ -24,7 +24,6 @@ use trading_networks::sim::{
 #[derive(Debug, Clone)]
 struct Draw {
     seed: u64,
-    scheduler: SchedulerKind,
     background_rate: f64,
     subs_per_strategy: usize,
     flight_capacity: u32,
@@ -34,11 +33,6 @@ struct Draw {
 fn arb_draw() -> impl Strategy<Value = Draw> {
     (
         any::<u64>(),
-        prop_oneof![
-            Just(SchedulerKind::BinaryHeap),
-            Just(SchedulerKind::CalendarQueue),
-            Just(SchedulerKind::TimingWheel),
-        ],
         10_000u32..80_000,
         1usize..5,
         1u32..2_048,
@@ -47,23 +41,19 @@ fn arb_draw() -> impl Strategy<Value = Draw> {
             (1u32..20).prop_map(|p| Some(f64::from(p) / 100.0))
         ],
     )
-        .prop_map(
-            |(seed, scheduler, rate, subs, flight_capacity, loss)| Draw {
-                seed,
-                scheduler,
-                background_rate: f64::from(rate),
-                subs_per_strategy: subs,
-                flight_capacity,
-                loss,
-            },
-        )
+        .prop_map(|(seed, rate, subs, flight_capacity, loss)| Draw {
+            seed,
+            background_rate: f64::from(rate),
+            subs_per_strategy: subs,
+            flight_capacity,
+            loss,
+        })
 }
 
 /// Build the scenario for a draw, trimmed short enough that a proptest
 /// sweep stays fast while still exercising warmup, faults, and recovery.
 fn scenario(draw: &Draw, flight: bool) -> ScenarioConfig {
     let mut sc = ScenarioConfig::small(draw.seed);
-    sc.scheduler = draw.scheduler;
     sc.background_rate = draw.background_rate;
     sc.subs_per_strategy = draw.subs_per_strategy;
     sc.duration = SimTime::from_ms(2);

@@ -1,7 +1,7 @@
 //! Differential property tests for sharded execution: over random
 //! fan-out topologies — mixed link speeds, store-and-forward hops,
 //! optional fault-degraded links — a [`ShardedSimulator`] split into any
-//! number of shards, under any scheduler, must reproduce the serial
+//! number of shards must reproduce the serial
 //! kernel bit-for-bit: identical trace digests, event counts, and
 //! per-sink delivery tallies. Random manual assignments must either be
 //! rejected up front (zero-delay cut) or reproduce the serial run too.
@@ -19,8 +19,8 @@ use trading_networks::core::{
 use trading_networks::fault::{FaultLink, FaultSpec};
 use trading_networks::netdev::EtherLink;
 use trading_networks::sim::{
-    Context, Frame, IdealLink, Link, Node, PortId, SchedulerKind, ShardError, ShardPlan,
-    ShardedSimulator, SimTime, Simulator, TimerToken,
+    Context, Frame, IdealLink, Link, Node, PortId, ShardError, ShardPlan, ShardedSimulator,
+    SimTime, Simulator, TimerToken,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -182,12 +182,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 
 /// Build the fan-out simulator a plan describes; returns the sim and its
 /// sink node ids.
-fn build_plan(
-    plan: &Plan,
-    kind: SchedulerKind,
-    faults: bool,
-) -> (Simulator, Vec<trading_networks::sim::NodeId>) {
-    let mut sim = Simulator::with_scheduler(plan.seed, kind);
+fn build_plan(plan: &Plan, faults: bool) -> (Simulator, Vec<trading_networks::sim::NodeId>) {
+    let mut sim = Simulator::new(plan.seed);
     let src = sim.add_node(
         "src",
         FanSource {
@@ -254,16 +250,16 @@ fn harvest(sim: &Simulator, sinks: &[trading_networks::sim::NodeId]) -> RunResul
     (sim.trace.digest(), sim.trace.recorded(), tallies)
 }
 
-fn run_serial(plan: &Plan, kind: SchedulerKind, faults: bool) -> RunResult {
-    let (mut sim, sinks) = build_plan(plan, kind, faults);
+fn run_serial(plan: &Plan, faults: bool) -> RunResult {
+    let (mut sim, sinks) = build_plan(plan, faults);
     sim.run_until(DRAIN);
     harvest(&sim, &sinks)
 }
 
 /// Run under an auto plan with `k` shards; `threshold` is the
 /// parallel-dispatch knob (0 forces scoped OS threads every window).
-fn run_auto(plan: &Plan, kind: SchedulerKind, faults: bool, k: u16, threshold: usize) -> RunResult {
-    let (sim, sinks) = build_plan(plan, kind, faults);
+fn run_auto(plan: &Plan, faults: bool, k: u16, threshold: usize) -> RunResult {
+    let (sim, sinks) = build_plan(plan, faults);
     let shard_plan = ShardPlan::auto(&sim, k);
     let mut sharded =
         ShardedSimulator::split(sim, &shard_plan).expect("auto plans always validate");
@@ -277,7 +273,7 @@ fn run_auto(plan: &Plan, kind: SchedulerKind, faults: bool, k: u16, threshold: u
 /// when the assignment is (legitimately) rejected — a zero-delay or
 /// coin-consuming cut — which the caller counts as vacuous.
 fn run_manual(plan: &Plan, faults: bool, assign_seed: u64) -> Option<(Vec<u32>, RunResult)> {
-    let (sim, sinks) = build_plan(plan, SchedulerKind::BinaryHeap, faults);
+    let (sim, sinks) = build_plan(plan, faults);
     let shards = 2 + (assign_seed % 3) as u32; // 2..=4
     let mut x = assign_seed | 1;
     let assignment: Vec<u32> = (0..sim.node_count())
@@ -302,27 +298,24 @@ fn run_manual(plan: &Plan, faults: bool, assign_seed: u64) -> Option<(Vec<u32>, 
 }
 
 proptest! {
-    /// For every random fan-out plan, every shard count 1..=8 under
-    /// every scheduler — faulted or not — reproduces the serial kernel
-    /// bit-for-bit, and forcing real OS threads changes nothing.
+    /// For every random fan-out plan, every shard count 1..=8 — faulted
+    /// or not — reproduces the serial kernel bit-for-bit, and forcing
+    /// real OS threads changes nothing.
     #[test]
     fn sharded_runs_match_serial_on_random_topologies(
         plan in arb_plan(),
         k in 1u16..=8,
     ) {
         for faults in [false, true] {
-            for kind in SchedulerKind::ALL {
-                let serial = run_serial(&plan, kind, faults);
-                let sharded = run_auto(&plan, kind, faults, k, usize::MAX);
-                prop_assert_eq!(
-                    &serial, &sharded,
-                    "{} diverged sharded (k={}, faults={})", kind.name(), k, faults
-                );
-            }
+            let serial = run_serial(&plan, faults);
+            let sharded = run_auto(&plan, faults, k, usize::MAX);
+            prop_assert_eq!(
+                &serial, &sharded,
+                "diverged sharded (k={}, faults={})", k, faults
+            );
             // One threaded pass per plan: scoped threads every window
             // must execute the identical merge, so the digest holds.
-            let serial = run_serial(&plan, SchedulerKind::BinaryHeap, faults);
-            let threaded = run_auto(&plan, SchedulerKind::BinaryHeap, faults, k, 0);
+            let threaded = run_auto(&plan, faults, k, 0);
             prop_assert_eq!(
                 &serial, &threaded,
                 "threaded windows diverged (k={}, faults={})", k, faults
@@ -340,7 +333,7 @@ proptest! {
     ) {
         for faults in [false, true] {
             if let Some((assignment, sharded)) = run_manual(&plan, faults, assign_seed) {
-                let serial = run_serial(&plan, SchedulerKind::BinaryHeap, faults);
+                let serial = run_serial(&plan, faults);
                 prop_assert_eq!(
                     &serial, &sharded,
                     "manual assignment {:?} diverged (faults={})", assignment, faults
